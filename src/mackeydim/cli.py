@@ -13,7 +13,7 @@ import random
 
 import click
 
-from . import groups, izext, mackey, oracle, posets, transfer
+from . import groups, izext, mackey, oracle, posets, qlinalg, transfer
 from .groups import GroupError
 from .izext import DiscrepancyError
 from .posets import PosetError
@@ -40,7 +40,8 @@ def _domain_errors(fn):
             return fn(*args, **kwargs)
         except DiscrepancyError as exc:
             raise DiscrepancyExit(str(exc))
-        except (GroupError, PosetError, transfer.TransferError, oracle.OracleError) as exc:
+        except (GroupError, PosetError, transfer.TransferError, oracle.OracleError,
+                qlinalg.QLinalgError, izext.IzextError) as exc:
             raise DomainExit(str(exc))
 
     return wrapper

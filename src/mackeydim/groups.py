@@ -198,10 +198,6 @@ class Subgroup:
     def sort_key(self):
         return self._key
 
-    def basis_rows(self):
-        k = self.ambient.k
-        return [[self.cols[j][i] for j in range(k)] for i in range(k)]
-
     def contains(self, other):
         if other.ambient != self.ambient:
             raise GroupError("ambient mismatch")
@@ -329,11 +325,12 @@ def quotient_invariants(H, K):
             raise ContainmentError("K is not contained in H")
         X.append(x)
     rows = [[X[j][i] for j in range(k)] for i in range(k)]
-    diag = qlinalg.snf_diagonal(rows)
+    diag = qlinalg.smith_normal_form(rows)
     prod = 1
     for d in diag:
         prod *= d
-    assert prod == H.order // K.order, "SNF determinant mismatch"
+    if prod != H.order // K.order:
+        raise GroupError("SNF determinant mismatch")
     return [d for d in diag if d > 1]
 
 
@@ -427,7 +424,8 @@ def _prime_block_bases(p, exps):
                 cols.append(e_i)
             basis = qlinalg.hnf_columns(cols, m)
             blocks.append(tuple(tuple(c) for c in basis))
-        assert len(set(blocks)) == len(blocks) == _gaussian_subspace_count(p, m)
+        if not len(set(blocks)) == len(blocks) == _gaussian_subspace_count(p, m):
+            raise GroupError("subspace count differs from the Gaussian binomial")
         return tuple(sorted(blocks))
 
     # general case: recursive column-wise enumeration with exact pruning;
@@ -661,7 +659,8 @@ def subgroup_elements(H):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    assert len(seen) == H.order
+    if len(seen) != H.order:
+        raise GroupError("element closure size differs from the subgroup order")
     return frozenset(seen)
 
 
@@ -705,7 +704,8 @@ def _ptype_quotient_types(p, part):
         es = []
         for d in invs:
             for q, e in _factorize(d):
-                assert q == p
+                if q != p:
+                    raise GroupError(f"quotient of a {p}-group has a {q}-factor")
                 es.append(e)
         types.add(tuple(sorted(es, reverse=True)))
     return frozenset(types)

@@ -431,10 +431,6 @@ def gldim_subgroup_lattice(G):
     return best
 
 
-def prime_power_factor_count(G):
-    return len(G.factors)
-
-
 def frattini_realization(G):
     """Witness (subgroup H, top Ext degree of (H, Phi H)) maximizing the degree.
 

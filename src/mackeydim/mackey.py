@@ -17,7 +17,6 @@ from .izext import DiscrepancyError
 from .transfer import NotDiskLikeError
 
 __all__ = [
-    "MackeyError",
     "ClassRow",
     "MackeyDimReport",
     "class_dim",
@@ -27,10 +26,6 @@ __all__ = [
     "scan_frattini",
     "scan_conjectures",
 ]
-
-
-class MackeyError(Exception):
-    pass
 
 
 class ClassRow:

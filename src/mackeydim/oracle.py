@@ -1,31 +1,18 @@
-"""Brute-force verification path: presheaves as incidence-algebra modules and
-minimal projective resolutions of simples.  Interval cohomology is never
+"""Brute-force verification path: minimal projective resolutions of simples
+over the incidence algebra of a finite poset.  Interval cohomology is never
 consulted anywhere in this module.
 
-Two layers: explicit Presheaf/PresheafMap objects carrying full structure
-maps (the object-level API, validated on construction), and a summand-symbolic
-resolution engine used for the large lattices, where projectives are sums of
-representables and differentials are stored per summand as a single vector.
-Multiplicities of the minimal resolution of S_x read off dim Ext^n(S_x, S_y).
+Resolutions are summand-symbolic: projectives are sums of representables and
+differentials are stored per summand as a single vector.  Multiplicities of
+the minimal resolution of S_x read off dim Ext^n(S_x, S_y).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-import numpy as np
-
 from . import qlinalg
-from .qlinalg import ExactMatrix
 
 __all__ = [
     "OracleError",
-    "Presheaf",
-    "PresheafMap",
-    "simple",
-    "representable",
-    "radical",
-    "projective_cover",
     "minimal_resolution",
     "gldim_oracle",
     "ext_table_oracle",
@@ -36,304 +23,13 @@ class OracleError(Exception):
     pass
 
 
-class Presheaf:
-    """Rational presheaf on a finite poset: dims per element, maps for every
-    related pair (structure map M(x) -> M(y) for y < x, stored as a
-    dims[y] x dims[x] matrix).  Functoriality is validated on construction."""
-
-    __slots__ = ("poset", "dims", "maps")
-
-    def __init__(self, poset, dims, maps, validate=True):
-        self.poset = poset
-        self.dims = tuple(dims)
-        self.maps = dict(maps)
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        P = self.poset
-        for y in range(P.n):
-            for x in range(P.n):
-                if y != x and P.leq(y, x):
-                    m = self.maps.get((y, x))
-                    if m is None:
-                        raise OracleError(f"missing structure map for pair ({y},{x})")
-                    if (m.rows, m.cols) != (self.dims[y], self.dims[x]):
-                        raise OracleError(f"structure map shape mismatch at ({y},{x})")
-        for z in range(P.n):
-            for y in range(P.n):
-                if not (z != y and P.leq(z, y)):
-                    continue
-                for x in range(P.n):
-                    if not (y != x and P.leq(y, x)):
-                        continue
-                    left = self.maps[(z, y)].matmul(self.maps[(y, x)])
-                    if left != self.maps[(z, x)]:
-                        raise OracleError(
-                            f"functoriality fails on {z} < {y} < {x}"
-                        )
-
-    def total_dim(self):
-        return sum(self.dims)
-
-    def map(self, y, x):
-        if y == x:
-            return ExactMatrix.identity(self.dims[x])
-        return self.maps[(y, x)]
-
-    def __repr__(self):
-        return f"Presheaf(dims={list(self.dims)})"
-
-
-class PresheafMap:
-    """Natural transformation: a matrix per element, squares must commute."""
-
-    __slots__ = ("source", "target", "components")
-
-    def __init__(self, source, target, components, validate=True):
-        if source.poset is not target.poset and source.poset != target.poset:
-            raise OracleError("source and target live on different posets")
-        self.source = source
-        self.target = target
-        self.components = tuple(components)
-        if validate:
-            self._validate()
-
-    def _validate(self):
-        P = self.source.poset
-        for x in range(P.n):
-            comp = self.components[x]
-            if (comp.rows, comp.cols) != (self.target.dims[x], self.source.dims[x]):
-                raise OracleError(f"component shape mismatch at {x}")
-        for y in range(P.n):
-            for x in range(P.n):
-                if y != x and P.leq(y, x):
-                    lhs = self.components[y].matmul(self.source.map(y, x))
-                    rhs = self.target.map(y, x).matmul(self.components[x])
-                    if lhs != rhs:
-                        raise OracleError(f"naturality fails on pair ({y},{x})")
-
-
-def simple(P, x):
-    """Presheaf with Q at x and zero elsewhere."""
-    dims = [1 if z == x else 0 for z in range(P.n)]
-    maps = {}
-    for y in range(P.n):
-        for z in range(P.n):
-            if y != z and P.leq(y, z):
-                maps[(y, z)] = ExactMatrix.zero(dims[y], dims[z])
-    return Presheaf(P, dims, maps, validate=False)
-
-
-def representable(P, x):
-    """Q at every y <= x with identity transition maps, zero elsewhere."""
-    dims = [1 if P.leq(z, x) else 0 for z in range(P.n)]
-    maps = {}
-    for y in range(P.n):
-        for z in range(P.n):
-            if y != z and P.leq(y, z):
-                if dims[y] and dims[z]:
-                    maps[(y, z)] = ExactMatrix(1, 1, [1])
-                else:
-                    maps[(y, z)] = ExactMatrix.zero(dims[y], dims[z])
-    return Presheaf(P, dims, maps, validate=False)
-
-
-def _column_space_basis(vectors, dim):
-    """Basis (as row lists) of the span of the given rational vectors."""
-    rows = [list(v) for v in vectors]
-    if not rows:
-        return []
-    basis = []
-    pivots = []
-    for row in rows:
-        row = [Fraction(e) for e in row]
-        for p, brow in zip(pivots, basis):
-            if row[p]:
-                f = row[p] / brow[p]
-                row = [a - f * b for a, b in zip(row, brow)]
-        lead = next((i for i, e in enumerate(row) if e), None)
-        if lead is not None:
-            basis.append(row)
-            pivots.append(lead)
-    return basis
-
-
-def radical(M):
-    """The sub-presheaf spanned at each y by the images from all x > y.
-
-    Returns (radical presheaf, inclusion PresheafMap).
-    """
-    P = M.poset
-    bases = []
-    for y in range(P.n):
-        vecs = []
-        for x in range(P.n):
-            if x != y and P.leq(y, x):
-                mat = M.map(y, x)
-                for j in range(mat.cols):
-                    vecs.append([mat[i, j] for i in range(mat.rows)])
-        bases.append(_column_space_basis(vecs, M.dims[y]))
-    dims = [len(b) for b in bases]
-    # inclusion components: columns are the basis vectors
-    inclusions = []
-    for y in range(P.n):
-        cols = bases[y]
-        entries = [cols[j][i] for i in range(M.dims[y]) for j in range(dims[y])]
-        inclusions.append(ExactMatrix(M.dims[y], dims[y], entries))
-    maps = {}
-    for y in range(P.n):
-        for x in range(P.n):
-            if y != x and P.leq(y, x):
-                # express M.map(y,x) restricted to rad(x) in rad(y) coordinates
-                mat = M.map(y, x)
-                img = []
-                for col in bases[x]:
-                    v = [
-                        sum(mat[i, t] * col[t] for t in range(M.dims[x]))
-                        for i in range(M.dims[y])
-                    ]
-                    img.append(v)
-                coords = _express_in_basis(img, bases[y])
-                entries = [coords[j][i] for i in range(dims[y]) for j in range(dims[x])]
-                maps[(y, x)] = ExactMatrix(dims[y], dims[x], entries)
-    rad = Presheaf(P, dims, maps)
-    PresheafMap(rad, M, inclusions)  # naturality check of the inclusion
-    return rad, inclusions
-
-
-def _express_in_basis(vectors, basis):
-    """Coordinates of each vector in the given (row) basis; error if outside."""
-    out = []
-    for v in vectors:
-        v = [Fraction(e) for e in v]
-        coords = [Fraction(0)] * len(basis)
-        work = list(v)
-        for j, brow in enumerate(basis):
-            lead = next((i for i, e in enumerate(brow) if e), None)
-            if lead is None:
-                continue
-            if work[lead]:
-                f = work[lead] / brow[lead]
-                coords[j] = f
-                work = [a - f * b for a, b in zip(work, brow)]
-        if any(work):
-            raise OracleError("vector does not lie in the given subspace")
-        out.append(coords)
-    return out
-
-
-def projective_cover(M):
-    """Projective cover of a finite-dimensional presheaf.
-
-    Returns (cover source as a Presheaf equal to a sum of representables,
-    multiplicities dict, PresheafMap).  Multiplicity at x is
-    dim (M / rad M)(x); the covering map lifts a chosen basis of the top.
-    """
-    P = M.poset
-    rad, _ = radical(M)
-    rad_bases = []
-    for y in range(P.n):
-        vecs = []
-        for x in range(P.n):
-            if x != y and P.leq(y, x):
-                mat = M.map(y, x)
-                for j in range(mat.cols):
-                    vecs.append([mat[i, j] for i in range(mat.rows)])
-        rad_bases.append(_column_space_basis(vecs, M.dims[y]))
-    mult = {}
-    chosen = {}
-    for x in range(P.n):
-        dim = M.dims[x]
-        base = [list(row) for row in rad_bases[x]]
-        lifts = []
-        for j in range(dim):
-            cand = [Fraction(1 if i == j else 0) for i in range(dim)]
-            trial = _try_reduce(cand, base + lifts)
-            if trial is not None:
-                lifts.append(trial)
-        m = dim - len(rad_bases[x])
-        assert len(lifts) == m, "top dimension mismatch"
-        if m:
-            mult[x] = m
-            chosen[x] = lifts
-    # assemble the sum of representables and the covering map
-    summands = []
-    for x in sorted(mult):
-        for vec in chosen[x]:
-            summands.append((x, vec))
-    dims = [sum(1 for (x, _v) in summands if P.leq(z, x)) for z in range(P.n)]
-    maps = {}
-    for y in range(P.n):
-        for z in range(P.n):
-            if y != z and P.leq(y, z):
-                rows = []
-                cols_z = [t for t, (x, _v) in enumerate(summands) if P.leq(z, x)]
-                cols_y = [t for t, (x, _v) in enumerate(summands) if P.leq(y, x)]
-                entries = []
-                for ty in cols_y:
-                    entries.append([1 if ty == tz else 0 for tz in cols_z])
-                maps[(y, z)] = ExactMatrix.from_rows(entries) if cols_y else ExactMatrix.zero(0, len(cols_z))
-    cover_source = Presheaf(P, dims, maps, validate=False)
-    components = [
-        ExactMatrix(
-            M.dims[z],
-            cover_source.dims[z],
-            [e for row in _component_rows(M, summands, z) for e in row],
-        )
-        for z in range(P.n)
-    ]
-    cover = PresheafMap(cover_source, M, components)
-    return cover_source, mult, cover
-
-
-def _component_rows(M, summands, z):
-    P = M.poset
-    cols_z = [t for t, (x, _v) in enumerate(summands) if P.leq(z, x)]
-    rows = []
-    for i in range(M.dims[z]):
-        row = []
-        for t in cols_z:
-            x, vec = summands[t]
-            mat = M.map(z, x)
-            row.append(sum(mat[i, s] * vec[s] for s in range(M.dims[x])))
-        rows.append(row)
-    return rows
-
-
-def _try_reduce(vec, rows):
-    """Reduce vec by rows; the reduced vector if independent, else None."""
-    work = list(vec)
-    for brow in rows:
-        lead = next((i for i, e in enumerate(brow) if e), None)
-        if lead is None:
-            continue
-        if work[lead]:
-            f = Fraction(work[lead]) / brow[lead]
-            work = [a - f * b for a, b in zip(work, brow)]
-    if any(work):
-        return work
-    return None
-
-
-# ---------------------------------------------------------------------------
-# Summand-symbolic minimal resolutions
-# ---------------------------------------------------------------------------
-
-_MODP = 2147483647
-
-
 class _Resolution:
     """Minimal projective resolution of S_x over IA(P), summand-symbolic.
 
     Projectives are lists of summands (element, differential vector); the
     differential vector of a step-n summand at y is an integer vector over
     the step-(n-1) summands s with y <= y_s, stored as {s: coeff} and valid
-    unchanged at every element below y.  Kernels are exact; the projective
-    cover top is located mod p and certified (mod-p rank bounds rank over Q
-    from below; the minimality audit at the next exact kernel step catches
-    any overcount, and surjectivity is certified by mod-p full rank of the
-    chosen lifts together with the radical rows).
+    unchanged at every element below y.  Kernels and cover tops are exact.
     """
 
     def __init__(self, P, x, max_len):
@@ -399,41 +95,22 @@ class _Resolution:
             rad_rows = []
             for w in self.cover_pairs[z]:
                 rad_rows.extend(omega[w])
-            chosen = self._top_complement(vecs, rad_rows, z)
+            chosen = self._top_complement(vecs, rad_rows)
             if chosen:
                 mult[z] = len(chosen)
                 for v in chosen:
                     new_summands.append((z, v))
         return new_summands, mult
 
-    def _top_complement(self, basis_vecs, rad_rows, z):
-        """Basis vectors completing the radical span; certified mod p.
+    def _top_complement(self, basis_vecs, rad_rows):
+        """Basis vectors completing the radical span, greedily and exactly.
 
-        chosen = the omega-basis vectors that add pivots after the radical
-        rows in one mod-p RREF.  When rank_p([rad; basis]) = len(basis) (its
-        exact rank over Q), span(rad + chosen) reaches all of Omega(z) over
-        Q, so the cover is surjective; chosen can only overcount the top
-        (rank_p(rad) <= rank_Q(rad)), and an overcount is caught exactly by
-        the minimality audit at the next kernel step.
+        Each chosen vector is independent of the radical rows and of the
+        vectors chosen before it, so the chosen vectors lift a basis of the
+        top: the cover is surjective and minimal by construction.
         """
         if not rad_rows:
             return list(basis_vecs)
-        cols = sorted({c for v in basis_vecs + rad_rows for c in v})
-        col_pos = {c: i for i, c in enumerate(cols)}
-        stacked = rad_rows + basis_vecs
-        A = np.zeros((len(stacked), len(cols)), dtype=np.int64)
-        for i, v in enumerate(stacked):
-            for c, val in v.items():
-                if abs(val) >= 2**31:
-                    return self._top_complement_exact(basis_vecs, rad_rows)
-                A[i, col_pos[c]] = val % _MODP
-        pivot_cols, pivot_rows, _ = qlinalg._modp_rref(A, _MODP)
-        if len(pivot_cols) != len(basis_vecs):
-            return self._top_complement_exact(basis_vecs, rad_rows)
-        n_rad = len(rad_rows)
-        return [basis_vecs[i - n_rad] for i in sorted(pivot_rows) if i >= n_rad]
-
-    def _top_complement_exact(self, basis_vecs, rad_rows):
         cols = sorted({c for v in basis_vecs + rad_rows for c in v})
         col_pos = {c: i for i, c in enumerate(cols)}
 
@@ -443,7 +120,7 @@ class _Resolution:
                 row[col_pos[c]] = val
             return row
 
-        ech = _IntEchelon(len(cols))
+        ech = _IntEchelon()
         for v in rad_rows:
             ech.add(densify(v))
         chosen = []
@@ -470,8 +147,8 @@ class _Resolution:
                 for s, val in summands[t][1].items():
                     mat[row_pos[s]][j] = val
             kern = qlinalg.kernel_basis_certified(mat, len(cols))
-            # exactness audit: surjectivity onto the previous syzygy was
-            # certified in the cover step, so dim ker + dim image = dim source
+            # exactness audit: the cover step spans the previous syzygy, so
+            # dim ker + dim image = dim source
             if len(kern) != len(cols) - len(prev_omega[z]):
                 raise OracleError("exactness audit failed at an element")
             # minimality audit: kernel coordinates on summands based at z vanish
@@ -488,8 +165,7 @@ class _Resolution:
 class _IntEchelon:
     """Incremental integer row echelon (exact, xgcd-based)."""
 
-    def __init__(self, width):
-        self.width = width
+    def __init__(self):
         self.rows = {}
 
     def add(self, row):

@@ -78,16 +78,6 @@ class FinitePoset:
                     )
 
     @classmethod
-    def from_leq(cls, labels, leq_pairs, validate=True):
-        """Build from an iterable of (i, j) index pairs meaning i <= j."""
-        labels = list(labels)
-        n = len(labels)
-        up = [1 << i for i in range(n)]
-        for i, j in leq_pairs:
-            up[i] |= 1 << j
-        return cls(n, labels, up, validate=validate)
-
-    @classmethod
     def from_covers(cls, labels, cover_pairs):
         """Build from Hasse covers; the transitive closure is computed."""
         labels = list(labels)
@@ -181,9 +171,6 @@ class FinitePoset:
             len(indices), [self.labels[v] for v in indices], up, validate=False
         )
 
-    def maximal_elements(self):
-        return [i for i in range(self.n) if self.up[i] == (1 << i)]
-
     def minimal_elements(self):
         return [i for i in range(self.n) if self.down[i] == (1 << i)]
 
@@ -205,10 +192,6 @@ class FinitePoset:
 
     def __hash__(self):
         return hash((self.labels, self.up))
-
-    def relation_key(self):
-        """Label-free canonical key of the relation (for deduplication)."""
-        return (self.n,) + self.up
 
 
 class OrderComplex:

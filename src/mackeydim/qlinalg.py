@@ -17,7 +17,6 @@ from math import gcd, isqrt
 import numpy as np
 
 __all__ = [
-    "ExactMatrix",
     "QLinalgError",
     "EliminationBudgetExceeded",
     "bareiss_rank",
@@ -25,11 +24,9 @@ __all__ = [
     "rank",
     "hnf_columns",
     "smith_normal_form",
-    "snf_diagonal",
     "kernel_basis_int",
     "kernel_basis_certified",
     "gf2_rank",
-    "gf2_rank_and_kernel",
     "modp_rank",
     "reduced_cohomology_dims",
     "reduced_homology_dims",
@@ -52,84 +49,6 @@ def _xgcd(a, b):
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
     return a, x0, y0
-
-
-class ExactMatrix:
-    """Dense matrix over Q with exact scalars (int or Fraction)."""
-
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows, cols, entries):
-        entries = tuple(entries)
-        if len(entries) != rows * cols:
-            raise QLinalgError(f"entry count {len(entries)} != {rows}x{cols}")
-        for e in entries:
-            if not isinstance(e, (int, Fraction)):
-                raise QLinalgError(f"non-exact scalar {e!r}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
-
-    @classmethod
-    def from_rows(cls, row_lists):
-        row_lists = [list(r) for r in row_lists]
-        rows = len(row_lists)
-        cols = len(row_lists[0]) if rows else 0
-        for r in row_lists:
-            if len(r) != cols:
-                raise QLinalgError("ragged rows")
-        return cls(rows, cols, [e for r in row_lists for e in r])
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [0] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n):
-        return cls(n, n, [1 if i == j else 0 for i in range(n) for j in range(n)])
-
-    def row_lists(self):
-        c = self.cols
-        return [list(self.entries[i * c : (i + 1) * c]) for i in range(self.rows)]
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i * self.cols + j]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ExactMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for a, b in zip(self.entries, other.entries))
-        )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self):
-        return f"ExactMatrix({self.rows}x{self.cols})"
-
-    def transpose(self):
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def matmul(self, other):
-        if self.cols != other.rows:
-            raise QLinalgError("shape mismatch")
-        a, b = self.row_lists(), other.row_lists()
-        out = []
-        for i in range(self.rows):
-            ai = a[i]
-            for j in range(other.cols):
-                out.append(sum(ai[k] * b[k][j] for k in range(self.cols)))
-        return ExactMatrix(self.rows, other.cols, out)
-
-    def rank(self):
-        return rank(self.row_lists())
 
 
 def _clear_denominators(rows):
@@ -440,10 +359,6 @@ def smith_normal_form(rows):
                 l = a // g * b
                 diag[i], diag[j] = g, l
     return diag
-
-
-def snf_diagonal(rows):
-    return smith_normal_form(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -774,39 +689,6 @@ def gf2_rank(bitrows):
                 break
             row ^= b
     return r
-
-
-def gf2_rank_and_kernel(bitrows, ncols):
-    """Rank and a kernel basis over F_2 for the matrix with given rows.
-
-    Kernel vectors are returned as column bitmasks v with A v = 0 over F_2.
-    Works on the transpose-augmented columns.
-    """
-    m = len(bitrows)
-    # columns of A as bitmasks over rows
-    cols = []
-    for j in range(ncols):
-        mask = 0
-        for i, row in enumerate(bitrows):
-            if (row >> j) & 1:
-                mask |= 1 << i
-        cols.append(mask)
-    basis = {}
-    kernel = []
-    for j in range(ncols):
-        vec = cols[j]
-        comb = 1 << j
-        while vec:
-            lead = vec.bit_length() - 1
-            ent = basis.get(lead)
-            if ent is None:
-                basis[lead] = (vec, comb)
-                break
-            vec ^= ent[0]
-            comb ^= ent[1]
-        else:
-            kernel.append(comb)
-    return len(basis), kernel
 
 
 # ---------------------------------------------------------------------------

@@ -188,7 +188,8 @@ def close(lattice, generator_pairs, meets=None):
                     changed = True
     system = TransferSystem(lattice, into, meets)
     report = validate(system)
-    assert report is None, f"closure produced an invalid system: {report}"
+    if report is not None:
+        raise TransferError(f"closure produced an invalid system: {report}")
     return system
 
 
@@ -255,12 +256,6 @@ class InseparabilityPartition:
         self.classes = classes  # list of sorted index lists
         self.representatives = representatives  # class -> index of max element
         self._rep_to_class = {r: i for i, r in enumerate(representatives)}
-
-    def class_of(self, i):
-        for c, members in enumerate(self.classes):
-            if i in members:
-                return c
-        raise TransferError("index outside the partition")
 
     def class_of_representative(self, rep):
         try:

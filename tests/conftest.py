@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from mackeydim import groups, posets
+from mackeydim import groups
+from mackeydim.cli import random_poset  # noqa: F401  (re-exported to the tests)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -18,16 +19,6 @@ def lattice_cache():
         return cache[spec]
 
     return get
-
-
-def random_poset(n, rng, edge_prob=0.35):
-    labels = [f"p{i}" for i in range(n)]
-    pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < edge_prob:
-                pairs.append((i, j))
-    return posets.FinitePoset.from_covers(labels, pairs)
 
 
 @pytest.fixture

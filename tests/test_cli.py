@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from mackeydim import izext, qlinalg
 from mackeydim.cli import main
 
 from conftest import FIXTURES
@@ -88,6 +89,21 @@ class TestGldimIA:
     def test_threads_flag_accepted(self, runner):
         res = runner.invoke(main, ["--threads", "2", "gldim-ia", "--group", "C6"])
         assert res.exit_code == 0
+
+    @pytest.mark.parametrize("error, code", [
+        (qlinalg.EliminationBudgetExceeded("elimination budget exceeded"), 3),
+        (izext.IzextError("no section route"), 3),
+        (izext.DiscrepancyError("routes disagree"), 4),
+    ], ids=["budget", "izext", "discrepancy"])
+    def test_errors_map_to_exit_codes(self, runner, monkeypatch, error, code):
+        def fail(G):
+            raise error
+
+        monkeypatch.setattr(izext, "gldim_subgroup_lattice", fail)
+        res = runner.invoke(main, ["gldim-ia", "--group", "C6"])
+        assert res.exit_code == code
+        assert res.output.splitlines() == [f"Error: {error}"]
+        assert "Traceback" not in res.output
 
 
 class TestGldimMackey:

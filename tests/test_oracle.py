@@ -3,17 +3,10 @@ import pytest
 from mackeydim import izext, posets
 from mackeydim.oracle import (
     OracleError,
-    Presheaf,
-    PresheafMap,
     ext_table_oracle,
     gldim_oracle,
     minimal_resolution,
-    projective_cover,
-    radical,
-    representable,
-    simple,
 )
-from mackeydim.qlinalg import ExactMatrix
 
 from conftest import random_poset
 
@@ -22,102 +15,34 @@ def chain2():
     return posets.FinitePoset.from_covers(["y", "x"], [(0, 1)])
 
 
-class TestPresheaf:
-    def test_functoriality_enforced(self):
-        P = posets.FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2)])
-        dims = [1, 1, 1]
-        ident = ExactMatrix.identity(1)
-        maps = {(0, 1): ident, (1, 2): ident, (0, 2): ExactMatrix(1, 1, [2])}
-        with pytest.raises(OracleError):
-            Presheaf(P, dims, maps)
-
-    def test_missing_map_rejected(self):
-        P = chain2()
-        with pytest.raises(OracleError):
-            Presheaf(P, [1, 1], {})
-
-    def test_naturality_enforced(self):
-        P = chain2()
-        M = representable(P, 1)
-        comps = [ExactMatrix(1, 1, [1]), ExactMatrix(1, 1, [2])]
-        with pytest.raises(OracleError):
-            PresheafMap(M, M, comps)
+def poset_from_covers(text):
+    """Poset on p0..p{n-1} from "p0<p1,p2; p1,p2<p3"-style cover groups."""
+    pairs = []
+    for part in text.split(";"):
+        lo, hi = part.split("<")
+        pairs += [(int(a.strip()[1:]), int(b.strip()[1:]))
+                  for a in lo.split(",") for b in hi.split(",")]
+    n = 1 + max(max(pair) for pair in pairs)
+    return posets.FinitePoset.from_covers([f"p{i}" for i in range(n)], pairs)
 
 
-class TestSimpleRepresentable:
-    def test_simple_total_dim(self, lattice_cache):
-        P = lattice_cache("C6").poset
-        for x in range(P.n):
-            assert simple(P, x).total_dim() == 1
+# Smallest known poset on which a mod-p choice of the cover top overcounted
+# it ("cover is not minimal: kernel meets the top"); izext gives gldim 3.
+DEFECT_COVERS = (
+    "p0<p1,p2,p3,p4; p1<p5,p7; p2<p6,p8; p3<p7; p4<p8; p5<p9,p10,p11,p12; "
+    "p6<p9,p10; p7<p9,p10,p12; p8<p10,p11; p9,p10,p11,p12<p13"
+)
 
-    def test_one_point_constant(self):
-        P = posets.FinitePoset.from_covers(["*"], [])
-        assert simple(P, 0).dims == (1,)
-        assert representable(P, 0).dims == (1,)
-
-    def test_representable_on_chain_maximal(self):
-        P = posets.FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2)])
-        R = representable(P, 2)
-        assert R.dims == (1, 1, 1)
-        assert all(R.map(y, x)[0, 0] == 1 for y in range(3) for x in range(3) if P.lt(y, x))
-
-    def test_representable_at_minimal_is_simple(self, lattice_cache):
-        P = lattice_cache("C6").poset
-        assert representable(P, 0).dims == simple(P, 0).dims
-
-    def test_representable_c6_top(self, lattice_cache):
-        lat = lattice_cache("C6")
-        assert representable(lat.poset, lat.top_index()).total_dim() == 4
-
-
-class TestRadical:
-    def test_radical_of_simple_is_zero(self, lattice_cache):
-        P = lattice_cache("C6").poset
-        rad, _ = radical(simple(P, 2))
-        assert rad.total_dim() == 0
-
-    def test_radical_of_representable(self, lattice_cache):
-        P = lattice_cache("C6").poset
-        lat = lattice_cache("C6")
-        top = lat.top_index()
-        rad, _ = radical(representable(P, top))
-        assert rad.dims[top] == 0
-        assert sum(rad.dims) == 3
-
-    def test_radical_of_constant_on_chain(self):
-        P = chain2()
-        rad, _ = radical(representable(P, 1))
-        assert rad.dims == (1, 0)
-
-
-class TestProjectiveCover:
-    def test_cover_of_projective_is_iso(self, lattice_cache):
-        P = lattice_cache("C6").poset
-        M = representable(P, 3)
-        src, mult, cover = projective_cover(M)
-        assert mult == {3: 1}
-        assert src.dims == M.dims
-
-    def test_cover_of_simple_on_chain(self):
-        P = chain2()
-        M = simple(P, 1)
-        src, mult, cover = projective_cover(M)
-        assert mult == {1: 1}
-        # kernel is the simple at y: dims (1, 0)
-        assert src.dims == (1, 1)
-
-    def test_multiplicities_are_dimension_data(self, rng):
-        # multiplicity at x equals dim (M/rad M)(x); rerun after permuting
-        # the generating data leaves it unchanged
-        P = posets.FinitePoset.from_covers(
-            ["a", "b", "c", "d"], [(0, 1), (0, 2), (1, 3), (2, 3)]
-        )
-        M = representable(P, 3)
-        _, mult1, _ = projective_cover(M)
-        Q = P.restrict([3, 2, 1, 0])
-        M2 = representable(Q, 0)
-        _, mult2, _ = projective_cover(M2)
-        assert sum(mult1.values()) == sum(mult2.values()) == 1
+# Graded posets with a bottom and a top; the first two also hit the
+# overcounted cover top.
+GRADED_COVERS = (
+    "p0<p1,p2,p3; p1<p5,p6,p7; p2<p7,p8; p3<p4; p4<p11; p5<p9; "
+    "p6<p9,p10,p11; p7<p9,p11; p8<p9,p10,p11; p9,p10,p11<p12",
+    "p0<p1,p2,p3,p4,p5,p6; p1<p7,p8; p2<p8,p9; p3<p8,p9; p4<p8,p10; "
+    "p5<p8,p9; p6<p7,p9; p7<p11,p12,p13; p8<p14; p9<p11,p12,p13,p14; "
+    "p10<p11,p12; p11,p12,p13,p14<p15",
+    "p0<p1,p2,p3; p1<p4,p5,p6; p2<p4; p3<p5; p4,p5,p6<p7",
+)
 
 
 class TestMinimalResolution:
@@ -171,3 +96,15 @@ class TestAgreementWithIzext:
                     for n, d in izext.ext_dims_section(lat, x, y).items():
                         b[(x, y, n)] = d
             assert a == b, spec
+
+    def test_defect_poset(self):
+        P = poset_from_covers(DEFECT_COVERS)
+        table = ext_table_oracle(P)
+        assert table == izext.ext_table(P)
+        assert max(n for (_x, _y, n) in table) == 3
+
+    @pytest.mark.parametrize("covers", GRADED_COVERS,
+                             ids=("graded-13", "graded-16", "graded-8"))
+    def test_graded_with_bottom_and_top(self, covers):
+        P = poset_from_covers(covers)
+        assert ext_table_oracle(P) == izext.ext_table(P)

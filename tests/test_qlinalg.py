@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from mackeydim import posets, qlinalg
 from mackeydim.qlinalg import (
-    ExactMatrix,
     bareiss_rank,
     euler_characteristic_reduced,
     gauss_rank,
@@ -283,17 +282,3 @@ class TestCohomology:
                 nullity = n_d - r
                 assert r + nullity == n_d
 
-
-class TestExactMatrix:
-    def test_shape_validation(self):
-        with pytest.raises(qlinalg.QLinalgError):
-            ExactMatrix(2, 2, [1, 2, 3])
-
-    def test_rejects_floats(self):
-        with pytest.raises(qlinalg.QLinalgError):
-            ExactMatrix(1, 1, [0.5])
-
-    def test_matmul(self):
-        a = ExactMatrix.from_rows([[1, 2], [3, 4]])
-        b = ExactMatrix.from_rows([[0, 1], [1, 0]])
-        assert a.matmul(b) == ExactMatrix.from_rows([[2, 1], [4, 3]])
