@@ -6,10 +6,11 @@ Ext^n(S_x, S_y) from the reduced cohomology of the open interval (empty
 interval = empty complex = Q in degree -1, so Ext is H~^{n-2} uniformly).
 The subgroup-lattice route exploits that the closed interval [K, H] is the
 subgroup lattice of H/K: Ext only depends on the isomorphism type of the
-section, sections are joins of their primary parts, and elementary abelian
-parts are certified by explicit apartment cycles.  Both routes are
-cross-checked against each other and against the brute-force resolution
-oracle in the test suite.
+section, and sections are joins of their primary parts.  Every cohomology
+dimension is an exact integer elimination; the one certificate left is the
+top degree of an elementary abelian part of rank above five, which a single
+apartment cycle proves nonzero.  Both routes are cross-checked against each
+other and against the brute-force resolution oracle in the test suite.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def _cohomology_to_ext(coh):
     return {d + 2: v for d, v in coh.items()}
 
 
-def ext_dims(P, x, y, reduce=True, force=None):
+def ext_dims(P, x, y, reduce=True):
     """dim Ext^n(S_x, S_y) over IA(P) by degree, zero degrees omitted.
 
     x = y gives {0: 1}; y not below x gives {}; otherwise the reduced
@@ -68,7 +69,7 @@ def ext_dims(P, x, y, reduce=True, force=None):
     if reduce:
         interval = posets.dismantle(interval)
     cx = posets.order_complex(interval)
-    return _cohomology_to_ext(qlinalg.reduced_cohomology_dims(cx, force=force))
+    return _cohomology_to_ext(qlinalg.reduced_cohomology_dims(cx))
 
 
 def gldim_incidence(P, reduce=True):
@@ -203,49 +204,9 @@ def _suspension(summary):
     return join_summaries(summary, CohomSummary.full(_S0))
 
 
-_FULL_BUILDING_LIMIT = 5  # direct/certified full dims up to rank 5
-
-
-def _apartment_cycles(p, k, lattice, interval_indices):
-    """Fundamental cycles of the p^{k(k-1)/2} standard apartments.
-
-    Frames come from unit lower-triangular matrices over F_p; each frame's
-    apartment is the barycentric boundary of a (k-1)-simplex inside the
-    building, and its fundamental cycle lives in top degree k-2.
-    """
-    from itertools import combinations, permutations, product as iproduct
-
-    pos_in_interval = {v: i for i, v in enumerate(interval_indices)}
-    below_positions = [(i, j) for i in range(k) for j in range(i)]
-    cycles = []
-    for values in iproduct(range(p), repeat=len(below_positions)):
-        entries = dict(zip(below_positions, values))
-        frame = []
-        for j in range(k):
-            vec = [0] * k
-            vec[j] = 1
-            for i in range(j + 1, k):
-                vec[i] = entries[(i, j)]
-            frame.append(vec)
-        # subgroup index of the span of {frame[j] : j in S}
-        span_idx = {}
-        for size in range(1, k):
-            for S in combinations(range(k), size):
-                cols = [frame[j] for j in S]
-                sub = groups.subgroup_from_columns(lattice.group, cols)
-                span_idx[S] = pos_in_interval[lattice.index_of(sub)]
-        chains = []
-        for perm in permutations(range(k)):
-            sets = []
-            acc = []
-            for t in range(k - 1):
-                acc = sorted(acc + [perm[t]])
-                sets.append(tuple(acc))
-            sign = _perm_sign(perm)
-            simplex = tuple(span_idx[S] for S in sets)
-            chains.append((simplex, sign))
-        cycles.append(chains)
-    return cycles
+# elementary abelian parts up to this rank get full, exact cohomology; above
+# it only the top degree is certified, by one apartment cycle
+_FULL_BUILDING_LIMIT = 5
 
 
 def _perm_sign(perm):
@@ -263,38 +224,6 @@ def _perm_sign(perm):
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def _building_cohomology_full(p, k):
-    """Full reduced cohomology of prop(Sub((C_p)^k)), exact.
-
-    Small buildings go through the direct exact path; larger ones are
-    certified by mod-2 ranks plus the apartment cycles.
-    """
-    G = group_from_primary_type({p: (1,) * k})
-    lattice = groups.subgroup_lattice(G)
-    top = lattice.top_index()
-    bottom = lattice.bottom_index()
-    P = lattice.poset
-    mask = P.down[top] & P.up[bottom] & ~(1 << top) & ~(1 << bottom)
-    interval_indices = [i for i in range(P.n) if (mask >> i) & 1]
-    interval = P.restrict(interval_indices)
-    cx = posets.order_complex(interval)
-    if cx.total_simplices() <= qlinalg._EXACT_COMPLEX_LIMIT:
-        return qlinalg.reduced_cohomology_dims(cx, force="exact")
-    # map apartment chains into complex coordinates
-    simplex_index = {s: i for i, s in enumerate(cx.simplices_by_dim[k - 2])}
-    raw_cycles = _apartment_cycles(p, k, lattice, interval_indices)
-    candidates = []
-    for chains in raw_cycles:
-        vec = {}
-        for simplex, sign in chains:
-            idx = simplex_index[simplex]
-            vec[idx] = vec.get(idx, 0) + sign
-        candidates.append({i: v for i, v in vec.items() if v})
-    return qlinalg.reduced_cohomology_dims(
-        cx, cycle_candidates={k - 2: candidates}, force="certified"
-    )
 
 
 def _building_top_certificate(p, k):
@@ -342,15 +271,13 @@ def _ptype_summary(p, part, need_full):
         # cyclic of order p^e, e >= 2: proper part is a chain, contractible
         return CohomSummary.full({})
     k = len(part)
-    if all(e == 1 for e in part):
-        if k <= _FULL_BUILDING_LIMIT:
-            return CohomSummary.full(_building_cohomology_full(p, k))
+    if k > _FULL_BUILDING_LIMIT and all(e == 1 for e in part):
         if need_full:
             raise qlinalg.EliminationBudgetExceeded(
                 f"full cohomology of the rank-{k} building over F_{p} is out of budget"
             )
         return _building_top_certificate(p, k)
-    # general non-elementary p-group: reduce the proper part, then compute
+    # reduce the proper part, then compute
     G = group_from_primary_type({p: part})
     lattice = groups.subgroup_lattice(G)
     P = lattice.poset

@@ -111,23 +111,11 @@ class _Resolution:
         """
         if not rad_rows:
             return list(basis_vecs)
-        cols = sorted({c for v in basis_vecs + rad_rows for c in v})
-        col_pos = {c: i for i, c in enumerate(cols)}
-
-        def densify(v):
-            row = [0] * len(cols)
-            for c, val in v.items():
-                row[col_pos[c]] = val
-            return row
-
-        ech = _IntEchelon()
+        # the echelon reduces rows in place, so it is fed copies
+        ech = qlinalg.IntEchelon()
         for v in rad_rows:
-            ech.add(densify(v))
-        chosen = []
-        for v in basis_vecs:
-            if ech.add(densify(v)):
-                chosen.append(v)
-        return chosen
+            ech.add(dict(v))
+        return [v for v in basis_vecs if ech.add(dict(v))]
 
     def _syzygy(self, prev_summands, summands, prev_omega):
         """Exact kernels of the differential at every element, with audits."""
@@ -140,53 +128,20 @@ class _Resolution:
                     raise OracleError("cover misses an element with nonzero syzygy")
                 omega[z] = []
                 continue
-            rows = [s for s, (y, _v) in enumerate(prev_summands) if P.leq(z, y)]
-            row_pos = {s: i for i, s in enumerate(rows)}
-            mat = [[0] * len(cols) for _ in rows]
-            for j, t in enumerate(cols):
-                for s, val in summands[t][1].items():
-                    mat[row_pos[s]][j] = val
-            kern = qlinalg.kernel_basis_certified(mat, len(cols))
+            # a summand's vector is valid unchanged at every element below
+            # its base, so it is the summand's column of the differential at z
+            columns = [summands[t][1] for t in cols]
+            kern = qlinalg.kernel_basis_sparse(columns, len(prev_summands))
             # exactness audit: the cover step spans the previous syzygy, so
             # dim ker + dim image = dim source
             if len(kern) != len(cols) - len(prev_omega[z]):
                 raise OracleError("exactness audit failed at an element")
             # minimality audit: kernel coordinates on summands based at z vanish
             for vec in kern:
-                for j, t in enumerate(cols):
-                    if vec[j] and summands[t][0] == z:
-                        raise OracleError("cover is not minimal: kernel meets the top")
-            omega[z] = [
-                {cols[j]: vec[j] for j in range(len(cols)) if vec[j]} for vec in kern
-            ]
+                if any(summands[cols[j]][0] == z for j in vec):
+                    raise OracleError("cover is not minimal: kernel meets the top")
+            omega[z] = [{cols[j]: v for j, v in vec.items()} for vec in kern]
         return omega
-
-
-class _IntEchelon:
-    """Incremental integer row echelon (exact, xgcd-based)."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def add(self, row):
-        row = list(row)
-        while True:
-            lead = next((i for i, e in enumerate(row) if e), None)
-            if lead is None:
-                return False
-            piv = self.rows.get(lead)
-            if piv is None:
-                self.rows[lead] = row
-                return True
-            a, b = piv[lead], row[lead]
-            if b % a == 0:
-                q = b // a
-                row = [r - q * p for r, p in zip(row, piv)]
-            else:
-                g, u, v = qlinalg._xgcd(a, b)
-                newpiv = [u * p + v * r for p, r in zip(piv, row)]
-                row = [(a // g) * r - (b // g) * p for p, r in zip(piv, row)]
-                self.rows[lead] = newpiv
 
 
 def minimal_resolution(P, x, max_len=None):

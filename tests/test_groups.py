@@ -158,6 +158,16 @@ class TestLatticeOps:
                         meet(H, K).order * join(H, K).order == H.order * K.order
                     )
 
+    @pytest.mark.parametrize("spec", ["C4xC12", "C2xC4xC8", "C3xC9"])
+    def test_meet_is_intersection(self, spec):
+        # these lattices give non-unit pivots, so the kernel's xgcd step runs;
+        # a kernel spanning only a finite-index sublattice makes meets too small
+        subs = enumerate_subgroups(parse_group(spec))
+        elements = [subgroup_elements(H) for H in subs]
+        for H, eh in zip(subs, elements):
+            for K, ek in zip(subs, elements):
+                assert subgroup_elements(meet(H, K)) == eh & ek, (H, K)
+
     def test_ambient_mismatch(self):
         a = trivial_subgroup(parse_group("C4"))
         b = trivial_subgroup(parse_group("C6"))

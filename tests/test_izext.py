@@ -170,13 +170,8 @@ class TestSectionEngine:
                     assert ext_dims_section(lat, x, y) == ext_dims(P, x, y)
 
     def test_fast_gldim_matches_generic(self):
-        # ranks >= 5 of elementary parts are excluded here: their lattices are
-        # covered by the oracle comparison, and the generic all-pairs route
-        # on them costs minutes
         for n in range(1, 37):
             for G in groups.abelian_groups_of_order(n):
-                if any(len(part) >= 5 for part in G.primary_type().values()):
-                    continue
                 lat = groups.subgroup_lattice(G)
                 assert gldim_subgroup_lattice(G) == gldim_incidence(lat.poset), G
 

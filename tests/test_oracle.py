@@ -103,6 +103,13 @@ class TestAgreementWithIzext:
         assert table == izext.ext_table(P)
         assert max(n for (_x, _y, n) in table) == 3
 
+    def test_c3_to_the_4_as_raw_poset(self, lattice_cache):
+        # the only input whose syzygy kernels are wider than 200 columns
+        # (up to 1080 x 729); as a raw poset izext takes the interval route
+        lat = lattice_cache("C3xC3xC3xC3")
+        P = posets.parse_poset_text(posets.poset_to_text(lat.poset))
+        assert ext_table_oracle(P) == izext.ext_table(P)
+
     @pytest.mark.parametrize("covers", GRADED_COVERS,
                              ids=("graded-13", "graded-16", "graded-8"))
     def test_graded_with_bottom_and_top(self, covers):

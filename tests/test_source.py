@@ -1,4 +1,6 @@
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import mackeydim
@@ -15,3 +17,24 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert SOURCES and not found, found
+
+
+def test_runs_without_numpy():
+    # numpy is not a dependency: block its import and run a CLI command
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from click.testing import CliRunner\n"
+        "from mackeydim.cli import main\n"
+        "res = CliRunner().invoke(main, ['gldim-ia', '--group', 'C6'])\n"
+        "sys.exit(res.exit_code)\n"
+    )
+    src_dir = str(Path(mackeydim.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={"PYTHONPATH": src_dir},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
