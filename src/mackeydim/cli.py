@@ -145,19 +145,19 @@ def gldim_ia(group_spec, poset_path, table, fmt, output):
         if table:
             lat = groups.subgroup_lattice(G)
             P = lat.poset
-            entries = {}
-            for x in range(lat.n):
-                for y in range(lat.n):
-                    for n, d in izext.ext_dims_section(lat, x, y).items():
-                        entries[(x, y, n)] = d
+            entries = izext.ext_table_section(lat)
     else:
         with open(poset_path) as fh:
             P = posets.parse_poset_text(fh.read())
         if P.n == 0:
             raise DomainExit("empty poset has no incidence algebra")
-        value = izext.gldim_incidence(P)
         name = poset_path
-        entries = izext.ext_table(P) if table else None
+        if table:
+            # the table holds every (x, x, 0), so its top degree is the gldim
+            entries = izext.ext_table(P)
+            value = max(n for _x, _y, n in entries)
+        else:
+            value = izext.gldim_incidence(P)
     if fmt == "json":
         payload = {"schema": 1, "poset": name, "gldim": value}
         if table:
@@ -265,11 +265,7 @@ def oracle_check(max_group_order, max_elements, samples, seed, inject_fault, out
     for n in range(1, max_group_order + 1):
         for G in groups.abelian_groups_of_order(n):
             lat = groups.subgroup_lattice(G)
-            a = {}
-            for x in range(lat.n):
-                for y in range(lat.n):
-                    for deg, d in izext.ext_dims_section(lat, x, y).items():
-                        a[(x, y, deg)] = d
+            a = izext.ext_table_section(lat)
             b = oracle.ext_table_oracle(lat.poset)
             cases += 1
             if inject_fault and cases == 1:

@@ -33,8 +33,8 @@ __all__ = [
     "subgroup_elements",
     "subgroup_from_elements",
     "primary_type_key",
+    "quotient_type_key",
     "section_type_keys",
-    "subgroup_type_keys",
 ]
 
 
@@ -206,13 +206,6 @@ class Subgroup:
     def invariant_factors(self):
         """Invariant factor decomposition of the subgroup as an abstract group."""
         return quotient_invariants(self, trivial_subgroup(self.ambient))
-
-    def primary_type(self):
-        out = {}
-        for d in self.invariant_factors():
-            for p, e in _factorize(d):
-                out.setdefault(p, []).append(e)
-        return {p: tuple(sorted(es, reverse=True)) for p, es in out.items()}
 
     def iso_name(self):
         invs = self.invariant_factors()
@@ -602,10 +595,11 @@ def subgroup_lattice(G, max_order=100000, max_count=6000):
     subs = enumerate_subgroups(G, max_order=max_order, max_count=max_count)
     n = len(subs)
     labels = _make_labels(subs)
-    use_elements = G.order <= 4096 and G.k > 0
+    use_elements = G.order <= _ELEMENT_ORDER_LIMIT and G.k > 0
     up = [0] * n
     if use_elements:
-        masks = [_element_mask(s) for s in subs]
+        index = {t: i for i, t in enumerate(group_elements(G))}
+        masks = [_element_mask(s, index) for s in subs]
         for i in range(n):
             mi = masks[i]
             oi = subs[i].order
@@ -626,27 +620,30 @@ def subgroup_lattice(G, max_order=100000, max_count=6000):
 
 
 # ---------------------------------------------------------------------------
-# Element-set engine (independent oracle for tests; |G| <= 2000)
+# Element-set engine (lattice order for small groups, oracle for tests)
 # ---------------------------------------------------------------------------
+
+_ELEMENT_ORDER_LIMIT = 4096
+
+
+def _check_element_budget(G):
+    if G.order > _ELEMENT_ORDER_LIMIT:
+        raise BudgetExceededError(
+            f"element-set engine is gated to |G| <= {_ELEMENT_ORDER_LIMIT}"
+        )
 
 
 def group_elements(G):
     from itertools import product as iproduct
 
-    if G.order > 2000:
-        raise BudgetExceededError("element-set engine is gated to |G| <= 2000")
+    _check_element_budget(G)
     return [tuple(t) for t in iproduct(*[range(m) for m in G.moduli])]
-
-
-def _element_index(G):
-    return {t: i for i, t in enumerate(group_elements(G))}
 
 
 def subgroup_elements(H):
     """Elements of H as tuples modulo the ambient moduli."""
     G = H.ambient
-    if G.order > 2000:
-        raise BudgetExceededError("element-set engine is gated to |G| <= 2000")
+    _check_element_budget(G)
     k = G.k
     gens = [tuple(c[i] % G.moduli[i] for i in range(k)) for c in H.cols]
     zero = tuple([0] * k)
@@ -664,11 +661,10 @@ def subgroup_elements(H):
     return frozenset(seen)
 
 
-def _element_mask(H):
-    idx = _element_index(H.ambient)
+def _element_mask(H, index):
     mask = 0
     for t in subgroup_elements(H):
-        mask |= 1 << idx[t]
+        mask |= 1 << index[t]
     return mask
 
 
@@ -679,71 +675,38 @@ def subgroup_from_elements(G, elements):
 
 
 # ---------------------------------------------------------------------------
-# Type-level helpers (sections of abelian groups, memoized by type)
+# Section types (closed form)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _ptype_subgroup_types(p, part):
-    """Subgroup types (descending partitions) of the p-group of type part."""
-    P = group_from_primary_type({p: part})
-    types = set()
-    for H in enumerate_subgroups(P):
-        t = H.primary_type()
-        types.add(t.get(p, ()))
-    return frozenset(types)
-
-
-@lru_cache(maxsize=None)
-def _ptype_quotient_types(p, part):
-    P = group_from_primary_type({p: part})
-    full = full_subgroup(P)
-    types = set()
-    for K in enumerate_subgroups(P):
-        invs = quotient_invariants(full, K)
-        es = []
-        for d in invs:
-            for q, e in _factorize(d):
-                if q != p:
-                    raise GroupError(f"quotient of a {p}-group has a {q}-factor")
-                es.append(e)
-        types.add(tuple(sorted(es, reverse=True)))
-    return frozenset(types)
-
-
-@lru_cache(maxsize=None)
-def _ptype_section_types(p, part):
-    out = set()
-    for sub in _ptype_subgroup_types(p, part):
-        out |= _ptype_quotient_types(p, sub)
-    return frozenset(out)
-
-
-def subgroup_type_keys(G):
-    """Isomorphism types of subgroups of G as primary-type keys."""
-    ptype = G.primary_type()
-    primes = sorted(ptype)
-    from itertools import product as iproduct
-
-    per = [sorted(_ptype_subgroup_types(p, ptype[p])) for p in primes]
-    keys = set()
-    for combo in iproduct(*per):
-        tm = {p: part for p, part in zip(primes, combo) if part}
-        keys.add(primary_type_key(tm))
-    return sorted(keys)
+def quotient_type_key(H, K):
+    """Primary-type key of H/K; requires K <= H."""
+    type_map = {}
+    for d in quotient_invariants(H, K):
+        for p, e in _factorize(d):
+            type_map.setdefault(p, []).append(e)
+    return primary_type_key(type_map)
 
 
 def section_type_keys(G):
-    """Isomorphism types of sections H/K of G as primary-type keys."""
+    """Isomorphism types of sections H/K of G as primary-type keys.
+
+    For an abelian p-group of type lambda the subgroup, quotient and section
+    types are all exactly the partitions mu contained in lambda (Birkhoff
+    1935; Macdonald, Symmetric Functions and Hall Polynomials, ch. II): the
+    descending nonzero entries of the vectors c with 0 <= c_i <= lambda_i.
+    So the keys are also the subgroup types of G, one partition per prime.
+    """
     ptype = G.primary_type()
     primes = sorted(ptype)
     from itertools import product as iproduct
 
-    per = [sorted(_ptype_section_types(p, ptype[p])) for p in primes]
-    keys = set()
-    for combo in iproduct(*per):
-        tm = {p: part for p, part in zip(primes, combo) if part}
-        keys.add(primary_type_key(tm))
+    per = [
+        {tuple(sorted(filter(None, c), reverse=True))
+         for c in iproduct(*[range(e + 1) for e in ptype[p]])}
+        for p in primes
+    ]
+    keys = {primary_type_key(dict(zip(primes, combo))) for combo in iproduct(*per)}
     return sorted(keys)
 
 

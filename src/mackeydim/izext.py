@@ -27,6 +27,7 @@ __all__ = [
     "ext_dims",
     "gldim_incidence",
     "ext_table",
+    "ext_table_section",
     "ext_table_json",
     "gldim_subgroup_lattice",
     "ext_dims_section",
@@ -104,14 +105,23 @@ def gldim_incidence(P, reduce=True):
     return best
 
 
+def _table(size, dims):
+    return {
+        (x, y, n): dim
+        for x in range(size)
+        for y in range(size)
+        for n, dim in sorted(dims(x, y).items())
+    }
+
+
 def ext_table(P, reduce=True):
     """All nonzero Ext entries of IA(P) as a dict (x, y, n) -> dim."""
-    entries = {}
-    for x in range(P.n):
-        for y in range(P.n):
-            for n, dim in sorted(ext_dims(P, x, y, reduce=reduce).items()):
-                entries[(x, y, n)] = dim
-    return entries
+    return _table(P.n, lambda x, y: ext_dims(P, x, y, reduce=reduce))
+
+
+def ext_table_section(lattice):
+    """ext_table of IA(Sub_G) through the section types (abelian G)."""
+    return _table(lattice.n, lambda x, y: ext_dims_section(lattice, x, y))
 
 
 def ext_table_json(P, entries=None):
@@ -321,15 +331,6 @@ def section_contribution(type_key):
     return summary.max_degree() + 2
 
 
-def _type_key_of_quotient(H, K):
-    invs = groups.quotient_invariants(H, K)
-    tm = {}
-    for d in invs:
-        for p, e in groups._factorize(d):
-            tm.setdefault(p, []).append(e)
-    return primary_type_key({p: tuple(sorted(v, reverse=True)) for p, v in tm.items()})
-
-
 def ext_dims_section(lattice, x, y, need_full=True):
     """ext_dims for a comparable subgroup-lattice pair via the section type."""
     P = lattice.poset
@@ -337,7 +338,7 @@ def ext_dims_section(lattice, x, y, need_full=True):
         return {0: 1}
     if not P.leq(y, x):
         return {}
-    key = _type_key_of_quotient(lattice.subgroups[x], lattice.subgroups[y])
+    key = groups.quotient_type_key(lattice.subgroups[x], lattice.subgroups[y])
     summary = prop_cohomology_of_type(key, need_full=need_full)
     if summary.kind != "full":
         raise IzextError("full Ext dims requested beyond the certified budget")
@@ -369,7 +370,8 @@ def frattini_realization(G):
     gldim = gldim_subgroup_lattice(G)
     best_key = None
     best_deg = -1
-    for key in groups.subgroup_type_keys(G):
+    # the section types of G are its subgroup types (groups.section_type_keys)
+    for key in groups.section_type_keys(G):
         # H of this type: (H, Phi H) has elementary section of rank = factor count
         m = sum(len(part) for _, part in key)
         if m == 0:

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mackeydim import izext, qlinalg
+from mackeydim import izext, mackey, qlinalg
 from mackeydim.cli import main
 
 from conftest import FIXTURES
@@ -41,6 +41,11 @@ class TestLattice:
         assert a == b
         payload = json.loads(a)
         assert payload["schema"] == 1 and len(payload["subgroups"]) == 6
+
+    def test_order_above_2000(self, runner):
+        res = runner.invoke(main, ["lattice", "C2048"])
+        assert res.exit_code == 0
+        assert "subgroups of C2048: 12" in res.output
 
     def test_bad_spec_is_domain_error(self, runner):
         res = runner.invoke(main, ["lattice", "C0"])
@@ -128,6 +133,25 @@ class TestGldimMackey:
         )
         assert res.exit_code == 0
         assert "gldim = 2" in res.output
+
+    def test_order_above_2000(self, runner):
+        res = runner.invoke(
+            main,
+            ["gldim-mackey", "--group", "C2048", "--gens", str(FIXTURES / "trivial.gen")],
+        )
+        assert res.exit_code == 0
+        assert "gldim = 1" in res.output
+
+    def test_routes_disagree_exits_4(self, runner, monkeypatch):
+        monkeypatch.setattr(mackey, "gldim_mackey_via_ext", lambda G, T: 7)
+        res = runner.invoke(
+            main,
+            ["gldim-mackey", "--group", "C6", "--gens", str(FIXTURES / "trivial.gen")],
+        )
+        assert res.exit_code == 4
+        assert res.output.splitlines() == [
+            "Error: two routes disagree: 2 (classes) vs 7 (Ext)"
+        ]
 
     def test_complete_generators(self, runner, tmp_path):
         gens = tmp_path / "complete.gen"

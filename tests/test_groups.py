@@ -1,4 +1,5 @@
 import random
+from functools import lru_cache
 
 import pytest
 
@@ -14,10 +15,13 @@ from mackeydim.groups import (
     enumerate_subgroups,
     frattini_of_group_closed_form,
     full_subgroup,
+    group_from_primary_type,
     join,
     meet,
     parse_group,
     quotient_invariants,
+    quotient_type_key,
+    section_type_keys,
     subgroup_elements,
     subgroup_from_columns,
     subgroup_from_elements,
@@ -82,6 +86,14 @@ class TestEnumeration:
                 assert elems not in seen
                 seen.add(elems)
                 assert subgroup_from_elements(G, elems) == H
+
+    @pytest.mark.parametrize("spec", ["C2048", "C3xC729"])
+    def test_element_order_matches_contains(self, spec):
+        # above order 2000 the lattice order still comes from element masks
+        lat = subgroup_lattice(parse_group(spec))
+        for i, H in enumerate(lat.subgroups):
+            for j, K in enumerate(lat.subgroups):
+                assert lat.leq(i, j) == K.contains(H), (spec, i, j)
 
     def test_budget_error(self):
         with pytest.raises(BudgetExceededError):
@@ -279,46 +291,77 @@ class TestFrattini:
                 assert lat.frattini(h) == lat.index_of(acc), (spec, lat.label(h))
 
 
+# Brute-force type oracle: every subgroup and every quotient, one SNF each.
+
+
+@lru_cache(maxsize=None)
+def brute_subgroup_keys(G):
+    bottom = trivial_subgroup(G)
+    return frozenset(quotient_type_key(H, bottom) for H in enumerate_subgroups(G))
+
+
+@lru_cache(maxsize=None)
+def brute_quotient_keys(G):
+    top = full_subgroup(G)
+    return frozenset(quotient_type_key(top, K) for K in enumerate_subgroups(G))
+
+
+def brute_section_keys(G):
+    out = set()
+    for key in brute_subgroup_keys(G):
+        out |= brute_quotient_keys(group_from_primary_type(dict(key)))
+    return out
+
+
+def small_primary_types(bound):
+    """Every (p, lambda) with lambda nonempty and p^|lambda| <= bound."""
+    out = []
+    for p in range(2, bound + 1):
+        if not all(p % d for d in range(2, p)):
+            continue
+        n = 1
+        while p**n <= bound:
+            out += [(p, part) for part in groups.partitions(n)]
+            n += 1
+    return out
+
+
 class TestSectionTypes:
     def test_sections_cover_all_quotients(self, lattice_cache):
         # literal sections of C12 computed pairwise vs the type engine
         lat = lattice_cache("C12")
-        keys = set()
-        for i in range(lat.n):
-            for j in range(lat.n):
-                if lat.poset.leq(j, i):
-                    H, K = lat.subgroups[i], lat.subgroups[j]
-                    invs = quotient_invariants(H, K)
-                    tm = {}
-                    for d in invs:
-                        for p, e in groups._factorize(d):
-                            tm.setdefault(p, []).append(e)
-                    keys.add(
-                        groups.primary_type_key(
-                            {p: tuple(sorted(v, reverse=True)) for p, v in tm.items()}
-                        )
-                    )
-        assert keys == set(groups.section_type_keys(lat.group))
+        keys = {
+            quotient_type_key(lat.subgroups[i], lat.subgroups[j])
+            for i in range(lat.n)
+            for j in range(lat.n)
+            if lat.poset.leq(j, i)
+        }
+        assert keys == set(section_type_keys(lat.group))
 
     def test_pairwise_vs_type_engine(self):
-        for spec in ["C2xC4", "C2xC2xC2", "C3xC9", "C8", "C2xC2xC3"]:
+        for spec in ["C1", "C2xC4", "C2xC2xC2", "C3xC9", "C8", "C2xC2xC3"]:
             G = parse_group(spec)
             lat = subgroup_lattice(G)
-            literal = set()
-            for i in range(lat.n):
-                for j in range(lat.n):
-                    if lat.poset.leq(j, i):
-                        invs = quotient_invariants(lat.subgroups[i], lat.subgroups[j])
-                        tm = {}
-                        for d in invs:
-                            for p, e in groups._factorize(d):
-                                tm.setdefault(p, []).append(e)
-                        literal.add(
-                            groups.primary_type_key(
-                                {p: tuple(sorted(v, reverse=True)) for p, v in tm.items()}
-                            )
-                        )
-            assert literal == set(groups.section_type_keys(G))
+            literal = {
+                quotient_type_key(lat.subgroups[i], lat.subgroups[j])
+                for i in range(lat.n)
+                for j in range(lat.n)
+                if lat.poset.leq(j, i)
+            }
+            assert literal == set(section_type_keys(G))
+
+    def test_closed_form_matches_brute_force(self):
+        # subgroup, quotient and section types of the p-group of type lambda
+        # are all the partitions mu contained in lambda
+        cases = small_primary_types(81)
+        assert len(cases) == 64
+        for p, part in cases:
+            G = group_from_primary_type({p: part})
+            closed = section_type_keys(G)
+            assert closed == sorted(set(closed)), (p, part)
+            assert set(closed) == brute_subgroup_keys(G), (p, part)
+            assert set(closed) == brute_quotient_keys(G), (p, part)
+            assert set(closed) == brute_section_keys(G), (p, part)
 
 
 class TestGroupsOfOrder:

@@ -19,6 +19,24 @@ def test_no_assert_statements():
     assert SOURCES and not found, found
 
 
+def test_no_cross_module_private_access():
+    # a private name of a sibling module is not an API: move it or make it public
+    modules = {path.stem for path in SOURCES}
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module in modules:
+                names = [a.name for a in node.names]
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules and node.value.id != path.stem):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.startswith("_") and not name.startswith("__")]
+    assert SOURCES and not found, found
+
+
 def test_runs_without_numpy():
     # numpy is not a dependency: block its import and run a CLI command
     script = (
