@@ -744,11 +744,10 @@ def abelian_groups_of_order(n):
     return out
 
 
-def frattini_of_group_closed_form(G):
-    """Phi(G) as the intersection of p G over primes p (closed form)."""
-    sub = full_subgroup(G)
-    acc = sub
+def frattini_closed_form(H):
+    """Phi(H) as the intersection of pH over the primes p dividing |G|."""
+    G = H.ambient
+    acc = H
     for p in sorted({p for p, _ in G.factors}):
-        cols = [[p if i == j else 0 for i in range(G.k)] for j in range(G.k)]
-        acc = meet(acc, subgroup_from_columns(G, cols))
+        acc = meet(acc, subgroup_from_columns(G, [[p * x for x in col] for col in H.cols]))
     return acc

@@ -3,11 +3,17 @@
 A transfer system is stored as per-target bitmasks: into[h] is the set of k
 with an arrow k -> h.  Closure, validation, disk-likeness, inseparability
 classes and the disk-like enumeration all operate on these masks.
+
+A disk-like system is the one generated by its arrows into G.  The sources
+of those arrows form a family S of subgroups that contains G and is closed
+under meets; every such S arises, and the system is read off S in closed
+form: into[h] = {s ^ h : s in S} (system_of_family).  The enumeration walks
+these families; `close` serves generator files, which may name any arrow.
 """
 
 from __future__ import annotations
 
-from .groups import GroupError
+from .groups import BudgetExceededError, GroupError
 from .posets import FinitePoset
 
 __all__ = [
@@ -18,7 +24,8 @@ __all__ = [
     "InseparabilityPartition",
     "close",
     "validate",
-    "is_disk_like",
+    "system_of_family",
+    "require_disk_like",
     "inseparability_classes",
     "class_poset",
     "enumerate_disk_like",
@@ -55,14 +62,7 @@ def _meet_table(lattice):
         for b in range(a, n):
             common = P.down[a] & P.down[b]
             # lattice: the common down-set has a unique maximal element
-            m = common
-            best = -1
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                if common & ~P.down[j] == 0:
-                    best = j
-                    break
+            best = next((j for j in _bits(common) if common & ~P.down[j] == 0), -1)
             if best < 0:
                 raise TransferError("ambient poset is not a meet-semilattice")
             table[a][b] = table[b][a] = best
@@ -88,14 +88,7 @@ class TransferSystem:
         return (self.into[h] >> k) & 1 == 1
 
     def arrows(self):
-        out = []
-        for h in range(len(self.into)):
-            m = self.into[h]
-            while m:
-                k = (m & -m).bit_length() - 1
-                m &= m - 1
-                out.append((k, h))
-        return out
+        return [(k, h) for h, row in enumerate(self.into) for k in _bits(row)]
 
     def nontrivial_arrows(self):
         return [(k, h) for (k, h) in self.arrows() if k != h]
@@ -103,9 +96,6 @@ class TransferSystem:
     def generators_into_top(self):
         top = self.lattice.top_index()
         return [(k, top) for k in _bits(self.into[top]) if k != top]
-
-    def key(self):
-        return self.into
 
     def contains(self, other):
         return all(o & ~s == 0 for s, o in zip(self.into, other.into))
@@ -134,6 +124,13 @@ def _bits(mask):
         j = (mask & -mask).bit_length() - 1
         mask &= mask - 1
         out.append(j)
+    return out
+
+
+def _mask(indices):
+    out = 0
+    for i in indices:
+        out |= 1 << i
     return out
 
 
@@ -239,13 +236,35 @@ def validate(T):
     return None
 
 
-def is_disk_like(T):
-    """True iff T is the closure of its own arrows into the full group."""
+def system_of_family(lattice, family, meets):
+    """The disk-like system whose arrows into G are the family S (a mask).
+
+    S must contain G and be closed under meets; then into[h] = {s ^ h : s in
+    S} is reflexive (G ^ h = h), restriction-closed and transitive
+    ((s' ^ s ^ h) with s' ^ s in S), so it is the closure of S -> G.
+    """
+    members = _bits(family)
+    into = [_mask(meets[h][s] for s in members) for h in range(lattice.n)]
+    return TransferSystem(lattice, into, meets)
+
+
+def require_disk_like(T):
+    """Raise NotDiskLikeError unless T validates and is generated by its
+    arrows into the full group."""
     report = validate(T)
     if report is not None:
-        raise TransferError(f"system does not validate: {report.message}")
-    regenerated = close(T.lattice, T.generators_into_top(), meets=T.meets())
-    return regenerated.into == T.into
+        raise NotDiskLikeError(f"system does not validate: {report.message}")
+    lat = T.lattice
+    # into[top] of a valid system is meet-closed and holds top
+    generated = system_of_family(lat, T.into[lat.top_index()], T.meets())
+    for h in range(lat.n):
+        extra = T.into[h] & ~generated.into[h]
+        if extra:
+            k = (extra & -extra).bit_length() - 1
+            raise NotDiskLikeError(
+                f"not disk-like: arrow {lat.label(k)} -> {lat.label(h)} is not "
+                "generated by the arrows into the full group"
+            )
 
 
 class InseparabilityPartition:
@@ -291,9 +310,7 @@ def inseparability_classes(T):
     classes.sort()
     reps = []
     for members in classes:
-        mask = 0
-        for j in members:
-            mask |= 1 << j
+        mask = _mask(members)
         maximal = [j for j in members if mask & ~P.down[j] == 0]
         if len(maximal) != 1:
             raise TransferError(
@@ -319,39 +336,42 @@ def class_poset(partition, rep):
     return lattice.poset.restrict(members)
 
 
-def enumerate_disk_like(lattice, max_subgroups=16):
-    """All disk-like systems, with their inclusion poset.
+_ENUMERATION_LIMIT = 16
 
-    Closures of all subsets of {H -> G : H < G}, deduplicated by the arrow
-    masks; by definition of disk-likeness this is exhaustive.
+
+def enumerate_disk_like(lattice):
+    """All disk-like systems, sorted by their arrow masks, with their
+    inclusion poset.
+
+    Walks the meet-closed families S containing G from {G}: adding s to a
+    meet-closed S and closing under meets gives S | {s ^ f : f in S}.
+    Inclusion of disk-like systems is inclusion of their families.
     """
     n = lattice.n
-    if n > max_subgroups:
-        raise TransferError(
-            f"disk-like enumeration budget exceeded: {n} > {max_subgroups} subgroups"
+    if n > _ENUMERATION_LIMIT:
+        raise BudgetExceededError(
+            f"disk-like enumeration budget exceeded: {n} > {_ENUMERATION_LIMIT} subgroups"
         )
-    top = lattice.top_index()
-    proper = [h for h in range(n) if h != top]
     meets = _meet_table(lattice)
-    seen = {}
-    from itertools import combinations
-
-    for r in range(len(proper) + 1):
-        for subset in combinations(proper, r):
-            gens = [(k, top) for k in subset]
-            system = close(lattice, gens, meets=meets)
-            seen.setdefault(system.key(), system)
-    systems = [seen[k] for k in sorted(seen)]
+    top = lattice.top_index()
+    seen = {1 << top}
+    todo = list(seen)
+    while todo:
+        family = todo.pop()
+        members = _bits(family)
+        for s in range(n):
+            grown = family | _mask(meets[s][f] for f in members)
+            if grown not in seen:
+                seen.add(grown)
+                todo.append(grown)
+    systems = sorted(
+        (system_of_family(lattice, family, meets) for family in seen),
+        key=lambda T: T.into,
+    )
+    families = [T.into[top] for T in systems]
+    up = [_mask(b for b, fb in enumerate(families) if fa & ~fb == 0) for fa in families]
     labels = [f"O{i}" for i in range(len(systems))]
-    up = []
-    for a, sa in enumerate(systems):
-        row = 0
-        for b, sb in enumerate(systems):
-            if sb.contains(sa):
-                row |= 1 << b
-        up.append(row)
-    poset = FinitePoset(len(systems), labels, up, validate=False)
-    return systems, poset
+    return systems, FinitePoset(len(systems), labels, up, validate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -381,34 +401,3 @@ def parse_generator_lines(text, lattice):
 def generator_file_text(lattice, pairs):
     lines = [f"gen: {lattice.label(k)} -> {lattice.label(h)}" for k, h in pairs]
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def fixed_point_count_oracle(T, j, l):
-    """|(G/L)^J| computed literally from cosets (element-set engine)."""
-    from .groups import subgroup_elements
-
-    lattice = T.lattice
-    G = lattice.group
-    J = lattice.subgroups[j]
-    L = lattice.subgroups[l]
-    j_elems = subgroup_elements(J)
-    l_elems = subgroup_elements(L)
-    from .groups import group_elements
-
-    k = G.k
-    cosets = set()
-    for g in group_elements(G):
-        coset = frozenset(
-            tuple((g[i] + x[i]) % G.moduli[i] for i in range(k)) for x in l_elems
-        )
-        cosets.add(coset)
-    count = 0
-    for coset in cosets:
-        rep = next(iter(coset))
-        fixed = all(
-            tuple((rep[i] + a[i]) % G.moduli[i] for i in range(k)) in coset
-            for a in j_elems
-        )
-        if fixed:
-            count += 1
-    return count

@@ -170,8 +170,32 @@ class TestGldimMackey:
         res = runner.invoke(main, ["gldim-mackey", "--group", "C6", "--gens", str(gens)])
         assert res.exit_code == 3
 
+    def test_not_disk_like_exits_3(self, runner, tmp_path):
+        gens = tmp_path / "c4.gen"
+        gens.write_text("gen: C1 -> C2\n")
+        res = runner.invoke(main, ["gldim-mackey", "--group", "C4", "--gens", str(gens)])
+        assert res.exit_code == 3
+        assert res.output.splitlines() == [
+            "Error: not disk-like: arrow C1 -> C2 is not generated by the "
+            "arrows into the full group"
+        ]
+
 
 class TestScan:
+    def test_monotonicity_budget_exits_3(self, runner):
+        res = runner.invoke(main, ["scan", "--group", "C2xC2xC4", "monotonicity"])
+        assert res.exit_code == 3
+        assert res.output.splitlines() == [
+            "Error: disk-like enumeration budget exceeded: 27 > 16 subgroups"
+        ]
+
+    def test_conjectures_over_budget_omits_monotonicity(self, runner):
+        res = runner.invoke(main, ["scan", "--group", "C2xC2xC4", "conjectures"])
+        assert res.exit_code == 0
+        payload = json.loads(res.output)
+        assert "disk_like_systems" not in payload
+        assert "monotonicity_violations" not in payload
+
     def test_monotonicity_c6(self, runner):
         res = runner.invoke(main, ["scan", "--group", "C6", "monotonicity"])
         assert res.exit_code == 0

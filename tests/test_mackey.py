@@ -146,6 +146,30 @@ class TestScans:
         assert report["violations"] == []
         assert report["max_gldim"] == 1
 
+    def test_monotonicity_reports_every_violation(self, lattice_cache, monkeypatch):
+        # a gldim that grows with the system makes every inclusion a violation
+        class Fake:
+            def __init__(self, T):
+                self.gldim = len(T.nontrivial_arrows())
+
+        monkeypatch.setattr(mackey, "gldim_mackey", lambda G, T: Fake(T))
+        lat = lattice_cache("C2xC4")
+        report = scan_monotonicity(lat.group)
+        systems, poset = enumerate_disk_like(lat)
+
+        def names(T):
+            return [f"{lat.label(k)}->{lat.label(h)}" for k, h in T.nontrivial_arrows()]
+
+        expected = [
+            {"smaller": names(systems[a]), "larger": names(systems[b]),
+             "gldim_smaller": len(names(systems[a])),
+             "gldim_larger": len(names(systems[b]))}
+            for a in range(len(systems)) for b in range(len(systems))
+            if a != b and poset.leq(a, b)
+        ]
+        assert report["inclusion_pairs"] == len(expected) > 0
+        assert report["violations"] == expected
+
     def test_frattini_c4(self):
         report = scan_frattini(groups.parse_group("C4"))
         assert report["realization"]["degree"] == 1

@@ -37,6 +37,18 @@ def test_no_cross_module_private_access():
     assert SOURCES and not found, found
 
 
+def test_mackey_leaves_closure_to_transfer():
+    # disk-likeness is decided in transfer alone (require_disk_like)
+    path = Path(mackeydim.__file__).parent / "mackey.py"
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "close"
+        and isinstance(node.value, ast.Name) and node.value.id == "transfer"
+    ]
+    assert not found, found
+
+
 def test_runs_without_numpy():
     # numpy is not a dependency: block its import and run a CLI command
     script = (

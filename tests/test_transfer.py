@@ -1,16 +1,20 @@
+from itertools import combinations
+
 import pytest
 
 from mackeydim import groups, transfer
+from mackeydim.groups import BudgetExceededError, group_elements, subgroup_elements
+from mackeydim.posets import FinitePoset
 from mackeydim.transfer import (
+    NotDiskLikeError,
     TransferError,
     class_poset,
     close,
     enumerate_disk_like,
-    fixed_point_count_oracle,
     generator_file_text,
     inseparability_classes,
-    is_disk_like,
     parse_generator_lines,
+    require_disk_like,
     validate,
 )
 
@@ -18,6 +22,50 @@ from mackeydim.transfer import (
 def complete_system(lat):
     top = lat.top_index()
     return close(lat, [(k, top) for k in range(lat.n) if k != top])
+
+
+def subset_closure_oracle(lat):
+    """Disk-like systems by definition: close every subset of {H -> G},
+    deduplicate, sort by arrow masks, order by inclusion of the systems."""
+    top = lat.top_index()
+    proper = [h for h in range(lat.n) if h != top]
+    seen = {}
+    for r in range(len(proper) + 1):
+        for subset in combinations(proper, r):
+            T = close(lat, [(k, top) for k in subset])
+            seen.setdefault(T.into, T)
+    systems = [seen[k] for k in sorted(seen)]
+    up = [
+        sum(1 << b for b, sb in enumerate(systems) if sb.contains(sa))
+        for sa in systems
+    ]
+    labels = [f"O{i}" for i in range(len(systems))]
+    return systems, FinitePoset(len(systems), labels, up, validate=False)
+
+
+def fixed_point_count_oracle(T, j, l):
+    """|(G/L)^J| computed literally from cosets (element-set engine)."""
+    lattice = T.lattice
+    G = lattice.group
+    j_elems = subgroup_elements(lattice.subgroups[j])
+    l_elems = subgroup_elements(lattice.subgroups[l])
+    k = G.k
+    cosets = set()
+    for g in group_elements(G):
+        coset = frozenset(
+            tuple((g[i] + x[i]) % G.moduli[i] for i in range(k)) for x in l_elems
+        )
+        cosets.add(coset)
+    count = 0
+    for coset in cosets:
+        rep = next(iter(coset))
+        fixed = all(
+            tuple((rep[i] + a[i]) % G.moduli[i] for i in range(k)) in coset
+            for a in j_elems
+        )
+        if fixed:
+            count += 1
+    return count
 
 
 class TestClosure:
@@ -98,13 +146,40 @@ class TestValidate:
 class TestDiskLike:
     def test_complete_and_trivial(self, lattice_cache):
         lat = lattice_cache("C12")
-        assert is_disk_like(complete_system(lat))
-        assert is_disk_like(close(lat, []))
+        require_disk_like(complete_system(lat))
+        require_disk_like(close(lat, []))
 
     def test_non_disk_like_on_c4(self, lattice_cache):
         lat = lattice_cache("C4")
         T = close(lat, [(lat.index_of_label("C1"), lat.index_of_label("C2"))])
-        assert not is_disk_like(T)
+        with pytest.raises(NotDiskLikeError) as info:
+            require_disk_like(T)
+        assert str(info.value) == (
+            "not disk-like: arrow C1 -> C2 is not generated by the arrows "
+            "into the full group"
+        )
+
+    def test_invalid_system_rejected(self, lattice_cache):
+        lat = lattice_cache("C6")
+        into = [1 << h for h in range(lat.n)]
+        into[lat.top_index()] |= 1 << lat.index_of_label("C1")
+        with pytest.raises(NotDiskLikeError, match="does not validate"):
+            require_disk_like(transfer.TransferSystem(lat, into))
+
+    @pytest.mark.parametrize("spec", ["C12", "C2xC4", "C2xC2xC3"])
+    def test_closure_of_arrows_into_top(self, lattice_cache, rng, spec):
+        # disk-like exactly when closing the arrows into G gives T back
+        lat = lattice_cache(spec)
+        proper = [(k, h) for h in range(lat.n) for k in range(lat.n)
+                  if k != h and lat.poset.leq(k, h)]
+        for _ in range(40):
+            T = close(lat, rng.sample(proper, rng.randint(0, 3)))
+            generated = close(lat, T.generators_into_top())
+            if generated.into == T.into:
+                require_disk_like(T)
+            else:
+                with pytest.raises(NotDiskLikeError, match="not disk-like: arrow"):
+                    require_disk_like(T)
 
 
 class TestInseparability:
@@ -250,11 +325,47 @@ class TestEnumerate:
     def test_all_disk_like(self, lattice_cache):
         for spec in ["C4", "C6", "C2xC2"]:
             systems, _ = enumerate_disk_like(lattice_cache(spec))
-            assert all(is_disk_like(T) for T in systems)
+            for T in systems:
+                require_disk_like(T)
+
+    @pytest.mark.parametrize("spec,n", [("C8", 3), ("C27", 3), ("C32", 5)])
+    def test_cyclic_prime_power_count(self, lattice_cache, spec, n):
+        systems, _ = enumerate_disk_like(lattice_cache(spec))
+        assert len(systems) == 2**n
+
+    @pytest.mark.parametrize(
+        "spec", ["C12", "C2xC4", "C3xC9", "C2xC2xC3", "C2xC8", "C2xC2", "C36"]
+    )
+    def test_matches_subset_closures(self, lattice_cache, spec):
+        lat = lattice_cache(spec)
+        assert lat.n <= 12
+        systems, poset = enumerate_disk_like(lat)
+        expected, expected_poset = subset_closure_oracle(lat)
+        assert [T.into for T in systems] == [T.into for T in expected]
+        assert poset.labels == expected_poset.labels
+        assert poset.up == expected_poset.up
+
+    @pytest.mark.parametrize(
+        "spec,count", [("C4xC4", 2036), ("C2xC2xC2", 3616), ("C2xC5xC5", 5625)]
+    )
+    def test_counts_on_large_lattices(self, lattice_cache, spec, count):
+        # counts given by closing every subset of arrows into G
+        lat = lattice_cache(spec)
+        systems, _ = enumerate_disk_like(lat)
+        assert len(systems) == count
+        assert len({T.into for T in systems}) == count
+        for T in systems:
+            assert validate(T) is None
+            require_disk_like(T)
 
     def test_budget(self, lattice_cache):
-        with pytest.raises(TransferError):
-            enumerate_disk_like(lattice_cache("C12"), max_subgroups=3)
+        lat = lattice_cache("C2xC2xC4")
+        assert lat.n > 16
+        with pytest.raises(BudgetExceededError) as info:
+            enumerate_disk_like(lat)
+        assert str(info.value) == (
+            f"disk-like enumeration budget exceeded: {lat.n} > 16 subgroups"
+        )
 
 
 class TestGeneratorFiles:
