@@ -2,8 +2,8 @@
 izext-vs-oracle cross check.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (validation, parsing,
-budget), 4 internal cross-check discrepancy.  All outputs are deterministic
-for a fixed invocation.
+budget), 4 internal cross-check discrepancy (its details go to stderr as one
+JSON line).  All outputs are deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ def _domain_errors(fn):
         try:
             return fn(*args, **kwargs)
         except DiscrepancyError as exc:
+            # the structured details go to stderr as one JSON line
+            click.echo(json.dumps({"discrepancy": str(exc), "details": exc.details},
+                                  sort_keys=True, default=str), err=True)
             raise DiscrepancyExit(str(exc))
         except (GroupError, PosetError, transfer.TransferError, oracle.OracleError,
                 qlinalg.QLinalgError, izext.IzextError) as exc:

@@ -536,11 +536,12 @@ class SubgroupLattice:
     def label(self, i):
         return self.poset.labels[i]
 
+    # subgroups are sorted by order, so 1 comes first and G last
     def top_index(self):
-        return self.index_of(full_subgroup(self.group))
+        return self.n - 1
 
     def bottom_index(self):
-        return self.index_of(trivial_subgroup(self.group))
+        return 0
 
     def leq(self, i, j):
         return self.poset.leq(i, j)

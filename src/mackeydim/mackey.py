@@ -5,6 +5,15 @@ abelian groups, the height upper bound, and the property scans.
 Everything the underlying results make equal is computed by two independent
 routes and compared; a disagreement raises DiscrepancyError (for the two
 gldim routes, the CLI exits 4) rather than being resolved silently.
+
+A disk-like system is read off its family S (its arrows into G): the
+inseparability classes are the fibres of c_S(j), the least member of S
+above j, so gldim(O_S) = max_j r(c_S(j)/j) with r the prime-power factor
+count (gldim_of_family).  `scan monotonicity` uses that closed form alone.
+gldim_mackey reads its rows off the same fibres; `gldim-mackey` compares it
+with gldim_mackey_via_ext, whose classes come from the containment
+fingerprints of transfer.inseparability_classes.  class_dim, with both of
+its formulations, is the reference the tests compare the closed form with.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ __all__ = [
     "ClassRow",
     "MackeyDimReport",
     "class_dim",
+    "gldim_of_family",
     "gldim_mackey",
     "gldim_mackey_via_ext",
     "scan_monotonicity",
@@ -116,20 +126,64 @@ def class_dim(partition, rep):
     return via_minimal
 
 
+def _class_tops(lattice, family):
+    """c_S(j) for every subgroup j: the least member of the family S above j.
+
+    S is meet-closed and holds G, so the members above j have a least one;
+    subgroups are sorted by order, so it is the lowest set bit of S & up[j].
+    The fibres of c_S are the inseparability classes, and c_S(j) is the top
+    of the class of j.
+    """
+    tops = []
+    for row in lattice.poset.up:
+        above = row & family
+        tops.append((above & -above).bit_length() - 1)
+    return tops
+
+
+def _factor_count(lattice, h, k):
+    """r(H/K): the number of prime-power cyclic factors of the quotient."""
+    subs = lattice.subgroups
+    return count_prime_power_factors(quotient_invariants(subs[h], subs[k]))
+
+
+def gldim_of_family(lattice, family, counts):
+    """gldim of the disk-like system with family S, in closed form:
+    max over subgroups j of r(c_S(j)/j).
+
+    r only falls on passing to a quotient, so this is the max over each
+    class of r(top/minimal member), as in class_dim.  `counts` is a dict
+    that memoizes r per pair (j, c_S(j)) across calls on one lattice.
+    """
+    best = 0
+    for j, c in enumerate(_class_tops(lattice, family)):
+        if c != j:
+            r = counts.get((j, c))
+            if r is None:
+                r = counts[(j, c)] = _factor_count(lattice, c, j)
+            best = max(best, r)
+    return best
+
+
 def gldim_mackey(G, T):
-    """Report with gldim = max over classes of dim([H]^O), plus the height bound."""
+    """Report with gldim = max over classes of dim([H]^O), plus the height bound.
+
+    The classes are the fibres of c_S, in order of their tops; a class's
+    dim is the max of r(top/K) over its minimal members K.
+    """
     transfer.require_disk_like(T)
-    partition = transfer.inseparability_classes(T)
     lattice = T.lattice
+    classes = {}
+    for j, c in enumerate(_class_tops(lattice, T.into[lattice.top_index()])):
+        classes.setdefault(c, []).append(j)
     rows = []
     height_bound = 0
     best = 0
-    for c, rep in enumerate(partition.representatives):
-        members = partition.classes[c]
+    for rep in sorted(classes):
+        members = classes[rep]
         minimal = _minimal_members(lattice, members)
-        dim = class_dim(partition, rep)
-        cp = transfer.class_poset(partition, rep)
-        height_bound = max(height_bound, cp.height())
+        dim = max((_factor_count(lattice, rep, k) for k in minimal if k != rep), default=0)
+        height_bound = max(height_bound, lattice.poset.restrict(members).height())
         best = max(best, dim)
         rows.append(ClassRow(rep, members, minimal, dim))
     if best > height_bound:
@@ -162,10 +216,16 @@ def gldim_mackey_via_ext(G, T):
 
 def scan_monotonicity(G):
     """Check gldim(O2) <= gldim(O1) for every inclusion O1 <= O2 of disk-like
-    systems; reports the annotated inclusion poset and any violations."""
+    systems; reports the annotated inclusion poset and any violations.
+
+    Each gldim is read off the system's family by gldim_of_family, with one
+    table of quotient factor counts for the whole lattice.
+    """
     lattice = groups.subgroup_lattice(G)
     systems, poset = transfer.enumerate_disk_like(lattice)
-    dims = [gldim_mackey(G, T).gldim for T in systems]
+    top = lattice.top_index()
+    counts = {}
+    dims = [gldim_of_family(lattice, T.into[top], counts) for T in systems]
 
     def arrows(T):
         return [f"{lattice.label(k)}->{lattice.label(h)}" for k, h in T.nontrivial_arrows()]

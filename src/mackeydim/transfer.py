@@ -55,15 +55,19 @@ class Violation:
 
 
 def _meet_table(lattice):
+    """meets[a][b] = a ^ b: the highest set bit of down[a] & down[b].
+
+    Subgroups are sorted by order, so the meet, which lies above the whole
+    common down-set, is its highest-index member.
+    """
     P = lattice.poset
     n = P.n
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
             common = P.down[a] & P.down[b]
-            # lattice: the common down-set has a unique maximal element
-            best = next((j for j in _bits(common) if common & ~P.down[j] == 0), -1)
-            if best < 0:
+            best = common.bit_length() - 1
+            if best < 0 or common & ~P.down[best]:
                 raise TransferError("ambient poset is not a meet-semilattice")
             table[a][b] = table[b][a] = best
     return table
@@ -291,13 +295,11 @@ class InseparabilityPartition:
 def inseparability_classes(T):
     """Partition by containment fingerprints over Sub_G^O = arrows into G.
 
-    For abelian ambients |(G/L)^J| = |G/L| . [J <= L], so two subgroups are
-    inseparable exactly when they lie below the same members of Sub_G^O.
-    The literal coset count survives as a test oracle.
+    T must already be validated (require_disk_like does it); it is not
+    checked again here.  For abelian ambients |(G/L)^J| = |G/L| . [J <= L],
+    so two subgroups are inseparable exactly when they lie below the same
+    members of Sub_G^O.  The literal coset count survives as a test oracle.
     """
-    report = validate(T)
-    if report is not None:
-        raise TransferError(f"system does not validate: {report.message}")
     P = T.lattice.poset
     n = P.n
     top = T.lattice.top_index()
@@ -345,7 +347,9 @@ def enumerate_disk_like(lattice):
 
     Walks the meet-closed families S containing G from {G}: adding s to a
     meet-closed S and closing under meets gives S | {s ^ f : f in S}.
-    Inclusion of disk-like systems is inclusion of their families.
+    Inclusion of disk-like systems is inclusion of their families.  If
+    S < S', then S | {x} is meet-closed for x minimal in S' - S, so the
+    up-set of S is S plus the up-sets of its one-element extensions.
     """
     n = lattice.n
     if n > _ENUMERATION_LIMIT:
@@ -369,7 +373,16 @@ def enumerate_disk_like(lattice):
         key=lambda T: T.into,
     )
     families = [T.into[top] for T in systems]
-    up = [_mask(b for b, fb in enumerate(families) if fa & ~fb == 0) for fa in families]
+    index = {f: a for a, f in enumerate(families)}
+    up = [0] * len(families)
+    # largest families first, so every one-element extension is done
+    for a in sorted(range(len(families)), key=lambda a: -families[a].bit_count()):
+        row = 1 << a
+        for x in _bits(~families[a] & ((1 << n) - 1)):
+            b = index.get(families[a] | 1 << x)
+            if b is not None:
+                row |= up[b]
+        up[a] = row
     labels = [f"O{i}" for i in range(len(systems))]
     return systems, FinitePoset(len(systems), labels, up, validate=False)
 

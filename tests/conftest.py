@@ -21,6 +21,19 @@ def lattice_cache():
     return get
 
 
+@pytest.fixture(scope="session")
+def small_lattices():
+    """The acceptance-05 corpus: lattices of |G| <= 100 with <= 12 subgroups."""
+    out = []
+    for n in range(1, 101):
+        for G in groups.abelian_groups_of_order(n):
+            try:
+                out.append(groups.subgroup_lattice(G, max_count=12))
+            except groups.BudgetExceededError:
+                pass
+    return out
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260808)

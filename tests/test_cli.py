@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mackeydim import izext, mackey, qlinalg
+from mackeydim import izext, mackey, posets, qlinalg
 from mackeydim.cli import main
 
 from conftest import FIXTURES
@@ -107,7 +107,11 @@ class TestGldimIA:
         monkeypatch.setattr(izext, "gldim_subgroup_lattice", fail)
         res = runner.invoke(main, ["gldim-ia", "--group", "C6"])
         assert res.exit_code == code
-        assert res.output.splitlines() == [f"Error: {error}"]
+        lines = res.output.splitlines()
+        if code == 4:
+            # a discrepancy first writes its details as one JSON line
+            assert json.loads(lines.pop(0)) == {"discrepancy": str(error), "details": {}}
+        assert lines == [f"Error: {error}"]
         assert "Traceback" not in res.output
 
 
@@ -152,6 +156,23 @@ class TestGldimMackey:
         assert res.output.splitlines() == [
             "Error: two routes disagree: 2 (classes) vs 7 (Ext)"
         ]
+
+    def test_discrepancy_details_on_stderr(self, runner, monkeypatch):
+        # a height bound below the gldim is a discrepancy inside gldim_mackey
+        monkeypatch.setattr(posets.FinitePoset, "height", lambda self: 0)
+        res = runner.invoke(
+            main,
+            ["gldim-mackey", "--group", "C6", "--gens", str(FIXTURES / "trivial.gen")],
+        )
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert json.loads(lines[0]) == {
+            "discrepancy": "global dimension exceeds the height bound",
+            "details": {"gldim": 2, "height_bound": 0},
+        }
+        assert lines[1:] == ["Error: global dimension exceeds the height bound"]
+        assert "Traceback" not in res.output
 
     def test_complete_generators(self, runner, tmp_path):
         gens = tmp_path / "complete.gen"

@@ -108,6 +108,13 @@ class TestEnumeration:
         orders = [s.order for s in a]
         assert orders == sorted(orders)
 
+    def test_top_and_bottom_indices(self, small_lattices):
+        lattices = small_lattices + [subgroup_lattice(parse_group("C2048"))]
+        for lat in lattices:
+            G = lat.group
+            assert lat.top_index() == lat.index_of(full_subgroup(G)), G
+            assert lat.bottom_index() == lat.index_of(trivial_subgroup(G)), G
+
 
 class TestCanonicality:
     def test_random_generating_sets(self):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from mackeydim import groups, izext, mackey, transfer
@@ -5,11 +7,18 @@ from mackeydim.mackey import (
     class_dim,
     gldim_mackey,
     gldim_mackey_via_ext,
+    gldim_of_family,
     scan_conjectures,
     scan_frattini,
     scan_monotonicity,
 )
-from mackeydim.transfer import NotDiskLikeError, close, enumerate_disk_like, inseparability_classes
+from mackeydim.transfer import (
+    NotDiskLikeError,
+    class_poset,
+    close,
+    enumerate_disk_like,
+    inseparability_classes,
+)
 
 
 def complete_system(lat):
@@ -19,6 +28,18 @@ def complete_system(lat):
 
 def bottom_system(lat):
     return close(lat, [(lat.bottom_index(), lat.top_index())])
+
+
+def class_route(T):
+    """gldim_mackey's rows and height bound by the fingerprint classes,
+    class_dim (both formulations) and the class-poset heights."""
+    part = inseparability_classes(T)
+    rows = [
+        (rep, members, mackey._minimal_members(T.lattice, members), class_dim(part, rep))
+        for rep, members in zip(part.representatives, part.classes)
+    ]
+    height = max(class_poset(part, rep).height() for rep in part.representatives)
+    return rows, height
 
 
 class TestClassDim:
@@ -147,23 +168,22 @@ class TestScans:
         assert report["max_gldim"] == 1
 
     def test_monotonicity_reports_every_violation(self, lattice_cache, monkeypatch):
-        # a gldim that grows with the system makes every inclusion a violation
-        class Fake:
-            def __init__(self, T):
-                self.gldim = len(T.nontrivial_arrows())
-
-        monkeypatch.setattr(mackey, "gldim_mackey", lambda G, T: Fake(T))
+        # a gldim that grows with the family makes every inclusion a violation
+        monkeypatch.setattr(
+            mackey, "gldim_of_family", lambda lattice, family, counts: family.bit_count()
+        )
         lat = lattice_cache("C2xC4")
         report = scan_monotonicity(lat.group)
         systems, poset = enumerate_disk_like(lat)
+        top = lat.top_index()
 
         def names(T):
             return [f"{lat.label(k)}->{lat.label(h)}" for k, h in T.nontrivial_arrows()]
 
         expected = [
             {"smaller": names(systems[a]), "larger": names(systems[b]),
-             "gldim_smaller": len(names(systems[a])),
-             "gldim_larger": len(names(systems[b]))}
+             "gldim_smaller": systems[a].into[top].bit_count(),
+             "gldim_larger": systems[b].into[top].bit_count()}
             for a in range(len(systems)) for b in range(len(systems))
             if a != b and poset.leq(a, b)
         ]
@@ -204,3 +224,47 @@ class TestScans:
             for row in report["frattini_witnesses"]
         }
         assert degrees["C4xC3"] == 2 and degrees["C1"] == 0
+
+
+class TestClosedForm:
+    def test_matches_class_route_on_small_lattices(self, small_lattices):
+        # every disk-like system of the acceptance-05 corpus
+        checked = 0
+        for lat in small_lattices:
+            top = lat.top_index()
+            counts = {}
+            systems, _ = enumerate_disk_like(lat)
+            for T in systems:
+                family = T.into[top]
+                part = inseparability_classes(T)
+                tops = mackey._class_tops(lat, family)
+                fibres = {}
+                for j, c in enumerate(tops):
+                    fibres.setdefault(c, []).append(j)
+                assert sorted(fibres) == part.representatives
+                assert [fibres[r] for r in sorted(fibres)] == part.classes
+                rows, height = class_route(T)
+                gldim = max(dim for *_rest, dim in rows)
+                assert gldim_of_family(lat, family, counts) == gldim <= height
+                assert gldim_of_family(lat, family, {}) == gldim
+                checked += 1
+        assert checked == 9009
+
+    @pytest.mark.parametrize(
+        "spec", ["C4xC12", "C2xC2xC4", "C2xC2xC2xC3", "C16xC16"]
+    )
+    def test_gldim_mackey_matches_class_route(self, lattice_cache, spec):
+        lat = lattice_cache(spec)
+        top = lat.top_index()
+        proper = list(range(lat.n - 1))
+        rng = random.Random(f"gens/{spec}")
+        for _ in range(40):
+            gens = rng.sample(proper, rng.randint(1, 4))
+            T = close(lat, [(k, top) for k in gens])
+            report = gldim_mackey(lat.group, T)
+            rows, height = class_route(T)
+            assert [(r.representative, r.members, r.minimal, r.dim)
+                    for r in report.rows] == rows
+            assert report.height_bound == height
+            assert report.gldim == max(dim for *_rest, dim in rows)
+            assert report.gldim == gldim_of_family(lat, T.into[top], {})

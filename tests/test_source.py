@@ -49,6 +49,23 @@ def test_mackey_leaves_closure_to_transfer():
     assert not found, found
 
 
+def test_monotonicity_scan_reads_the_closed_form():
+    # scan_monotonicity takes each gldim from the family (gldim_of_family)
+    path = Path(mackeydim.__file__).parent / "mackey.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    scan = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "scan_monotonicity")
+    banned = {"gldim_mackey", "class_dim", "validate", "inseparability_classes"}
+    found = [
+        node.lineno
+        for node in ast.walk(scan)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) in banned
+             or getattr(node.func, "attr", None) in banned)
+    ]
+    assert not found, found
+
+
 def test_runs_without_numpy():
     # numpy is not a dependency: block its import and run a CLI command
     script = (

@@ -120,6 +120,27 @@ class TestClosure:
             assert T.contains(closed)
 
 
+class TestMeetTable:
+    @pytest.mark.parametrize("spec", ["C4xC12", "C2xC4xC8", "C16xC16"])
+    def test_matches_group_meet(self, lattice_cache, spec):
+        lat = lattice_cache(spec)
+        table = transfer._meet_table(lat)
+        subs = lat.subgroups
+        for a in range(lat.n):
+            for b in range(lat.n):
+                assert table[a][b] == lat.index_of(groups.meet(subs[a], subs[b]))
+
+    def test_not_a_meet_semilattice(self):
+        # a, b have no common lower bound; c, d have two maximal ones
+        P = FinitePoset.from_covers(["a", "b", "c", "d"], [(0, 2), (0, 3), (1, 2), (1, 3)])
+
+        class Fake:
+            poset = P
+
+        with pytest.raises(TransferError, match="not a meet-semilattice"):
+            transfer._meet_table(Fake)
+
+
 class TestValidate:
     def test_complete_ok(self, lattice_cache):
         assert validate(complete_system(lattice_cache("C12"))) is None
@@ -344,6 +365,12 @@ class TestEnumerate:
         assert [T.into for T in systems] == [T.into for T in expected]
         assert poset.labels == expected_poset.labels
         assert poset.up == expected_poset.up
+        # the cover-built up-sets equal the subset test on the families
+        families = [T.into[lat.top_index()] for T in systems]
+        assert list(poset.up) == [
+            sum(1 << b for b, fb in enumerate(families) if fa & ~fb == 0)
+            for fa in families
+        ]
 
     @pytest.mark.parametrize(
         "spec,count", [("C4xC4", 2036), ("C2xC2xC2", 3616), ("C2xC5xC5", 5625)]
