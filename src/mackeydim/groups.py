@@ -3,7 +3,9 @@
 A group is a product of cyclic factors of prime-power order; a subgroup is
 the canonical column-HNF basis of an integer lattice L with
 diag(n_1..n_k) Z^k <= L <= Z^k.  Equality of subgroups is bitwise equality
-of bases, quotients reduce to one Smith normal form.
+of bases, quotients reduce to one Smith normal form.  On a built lattice,
+Frattini subgroups and section types are read off the order bitmasks
+instead (SubgroupLattice.frattini, SubgroupLattice.section_type).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "subgroup_elements",
     "subgroup_from_elements",
     "primary_type_key",
-    "quotient_type_key",
     "section_type_keys",
 ]
 
@@ -515,7 +516,7 @@ class SubgroupLattice:
         self.poset = poset
         self._by_cols = {s.cols: i for i, s in enumerate(subgroups)}
         self._by_label = {lab: i for i, lab in enumerate(poset.labels)}
-        self._frattini = {}
+        self._phi = None  # built on the first frattini call
 
     @property
     def n(self):
@@ -551,28 +552,71 @@ class SubgroupLattice:
         return self.subgroups[self.frattini(self.index_of(H))]
 
     def frattini(self, i):
-        """Intersection of the maximal proper subgroups of subgroup i."""
-        if i in self._frattini:
-            return self._frattini[i]
-        P = self.poset
-        strict_down = P.down[i] & ~(1 << i)
-        maximal = []
-        m = strict_down
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
-            between = strict_down & (P.up[j] & ~(1 << j))
-            if between == 0:
-                maximal.append(j)
-        if not maximal:
-            result = i
-        else:
-            acc = self.subgroups[maximal[0]]
-            for j in maximal[1:]:
-                acc = meet(acc, self.subgroups[j])
-            result = self.index_of(acc)
-        self._frattini[i] = result
-        return result
+        """Phi of subgroup i: the meet of its maximal subgroups.
+
+        In an abelian group the maximal subgroups of H are those of prime
+        index, so the down-set of Phi(H) is the intersection of their
+        down-sets; subgroups are sorted by order, so Phi(H) is its highest
+        set bit.  The table is built on the first call, once per lattice.
+        """
+        if self._phi is None:
+            down = self.poset.down
+            orders = [s.order for s in self.subgroups]
+            by_order = {}
+            for j, o in enumerate(orders):
+                by_order[o] = by_order.get(o, 0) | 1 << j
+            primes = [p for p, _e in _factorize(self.group.order)]
+            phi = []
+            for h, o in enumerate(orders):
+                acc = down[h]
+                for p in primes:
+                    if o % p == 0:
+                        maximal = down[h] & by_order[o // p]
+                        while maximal:
+                            j = (maximal & -maximal).bit_length() - 1
+                            maximal &= maximal - 1
+                            acc &= down[j]
+                phi.append(acc.bit_length() - 1)
+            self._phi = phi
+        return self._phi[i]
+
+    def section_type(self, h, k):
+        """Primary-type key of H/K for subgroups k <= h, read off the lattice.
+
+        Phi^i(H) K / K = Phi^i(H/K), so o_i = |Phi^i(H) v K| / |K| is the
+        order of Phi^i(H/K), and for each prime p, v_p(o_i) - v_p(o_{i+1})
+        counts the parts of the p-type lambda_p of H/K that exceed i;
+        conjugating those counts gives lambda_p.  The join of a and k is the
+        lowest set bit of up[a] & up[k], since subgroups are sorted by order.
+        """
+        up = self.poset.up
+        if not up[k] >> h & 1:
+            raise ContainmentError("K is not contained in H")
+        subs = self.subgroups
+        base = subs[k].order
+        orders = []  # o_0, o_1, ... while above 1
+        a = h
+        while True:
+            above = up[a] & up[k]
+            o = subs[(above & -above).bit_length() - 1].order // base
+            if o == 1:
+                break
+            orders.append(o)
+            a = self.frattini(a)
+        type_map = {}
+        for p, _e in _factorize(orders[0]) if orders else ():
+            vals = [_valuation(o, p) for o in orders] + [0]
+            above_i = [vals[i] - vals[i + 1] for i in range(len(orders))]
+            type_map[p] = tuple(sum(1 for c in above_i if c > j) for j in range(above_i[0]))
+        return primary_type_key(type_map)
+
+
+def _valuation(n, p):
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def _make_labels(subgroups):
@@ -680,15 +724,6 @@ def subgroup_from_elements(G, elements):
 # ---------------------------------------------------------------------------
 
 
-def quotient_type_key(H, K):
-    """Primary-type key of H/K; requires K <= H."""
-    type_map = {}
-    for d in quotient_invariants(H, K):
-        for p, e in _factorize(d):
-            type_map.setdefault(p, []).append(e)
-    return primary_type_key(type_map)
-
-
 def section_type_keys(G):
     """Isomorphism types of sections H/K of G as primary-type keys.
 
@@ -743,12 +778,3 @@ def abelian_groups_of_order(n):
                 factors.append((p, a))
         out.append(AbelianGroup(factors))
     return out
-
-
-def frattini_closed_form(H):
-    """Phi(H) as the intersection of pH over the primes p dividing |G|."""
-    G = H.ambient
-    acc = H
-    for p in sorted({p for p, _ in G.factors}):
-        acc = meet(acc, subgroup_from_columns(G, [[p * x for x in col] for col in H.cols]))
-    return acc

@@ -3,23 +3,25 @@ cohomology, and the resulting global dimension.
 
 Two routes live here.  The generic route takes any finite poset and computes
 Ext^n(S_x, S_y) from the reduced cohomology of the open interval (empty
-interval = empty complex = Q in degree -1, so Ext is H~^{n-2} uniformly).
-The subgroup-lattice route exploits that the closed interval [K, H] is the
-subgroup lattice of H/K: Ext only depends on the isomorphism type of the
-section, and sections are joins of their primary parts.  Every cohomology
-dimension is an exact integer elimination; the one certificate left is the
-top degree of an elementary abelian part of rank above five, which a single
-apartment cycle proves nonzero.  Both routes are cross-checked against each
-other and against the brute-force resolution oracle in the test suite.
+interval = empty complex = Q in degree -1, so Ext is H~^{n-2} uniformly), by
+exact integer elimination.  The subgroup-lattice route exploits that the
+closed interval [K, H] is the subgroup lattice of H/K: Ext only depends on
+the type of the section, which SubgroupLattice.section_type reads off the
+lattice, and the proper part of that type's lattice has its cohomology in
+closed form (prop_cohomology_of_type): contractible unless H/K has
+squarefree exponent, else a join of Tits buildings.  That route builds no
+lattice and eliminates nothing.  The test suite compares it with the
+building engine (lattice, dismantling, elimination and, above rank five, an
+apartment cycle), with the generic route, with the Moebius function of the
+lattice and with the brute-force resolution oracle.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
 
 from . import groups, posets, qlinalg
-from .groups import AbelianGroup, group_from_primary_type, primary_type_key
+from .groups import AbelianGroup, primary_type_key
 
 __all__ = [
     "IzextError",
@@ -142,179 +144,30 @@ def ext_table_json(P, entries=None):
 
 
 # ---------------------------------------------------------------------------
-# Cohomology summaries for proper parts of subgroup lattices, by type
+# Proper parts of subgroup lattices, by type (closed form)
 # ---------------------------------------------------------------------------
 
 
-class CohomSummary:
-    """Reduced cohomology of prop(Sub_Q): full dims, or a certified top degree.
+def prop_cohomology_of_type(type_key):
+    """Reduced cohomology {degree: dim} of prop(Sub_Q), Q of this primary type.
 
-    kind 'full': dims is the complete {degree: dim} dictionary.
-    kind 'top': the complex has dimension top and a verified nonzero cycle
-    there, so the maximum nonzero degree is exactly `top`; lower degrees are
-    not computed.  Only the maximum is consumed in that case.
+    If some primary part of Q is not elementary, Phi(Q) != 1 and the proper
+    part is contractible (Kratzer-Thevenaz 1985): {}.  If Q = prod_p (C_p)^k_p,
+    prop(Sub_Q) is the join of the Tits buildings of GL_k_p(F_p), each with
+    Q^{p^{k_p(k_p-1)/2}} in degree k_p - 2 (Solomon 1969), with an S^0 between
+    consecutive factors; so the only nonzero degree is sum k_p - 2.  For Q of
+    prime order the proper part is empty: {-1: 1}.
     """
-
-    __slots__ = ("kind", "dims", "top")
-
-    def __init__(self, kind, dims=None, top=None):
-        self.kind = kind
-        self.dims = dims
-        self.top = top
-
-    @classmethod
-    def full(cls, dims):
-        return cls("full", dims=dict(dims))
-
-    @classmethod
-    def top_only(cls, top):
-        return cls("top", top=top)
-
-    def is_contractible(self):
-        return self.kind == "full" and not self.dims
-
-    def is_empty_complex(self):
-        return self.kind == "full" and self.dims == {-1: 1}
-
-    def max_degree(self):
-        if self.kind == "top":
-            return self.top
-        if not self.dims:
-            return None
-        return max(self.dims)
-
-    def __repr__(self):
-        if self.kind == "full":
-            return f"CohomSummary(full {self.dims})"
-        return f"CohomSummary(top {self.top})"
-
-
-def join_dims(a, b):
-    """dim H~_n(X * Y) = sum_{i+j=n-1} dim H~_i(X) dim H~_j(Y) over Q."""
-    out = {}
-    for i, va in a.items():
-        for j, vb in b.items():
-            n = i + j + 1
-            out[n] = out.get(n, 0) + va * vb
-    return out
-
-
-_S0 = {0: 1}
-
-
-def join_summaries(a, b):
-    if a.is_contractible() or b.is_contractible():
-        return CohomSummary.full({})
-    if a.kind == "full" and b.kind == "full":
-        return CohomSummary.full(join_dims(a.dims, b.dims))
-    return CohomSummary.top_only(a.max_degree() + b.max_degree() + 1)
-
-
-def _suspension(summary):
-    return join_summaries(summary, CohomSummary.full(_S0))
-
-
-# elementary abelian parts up to this rank get full, exact cohomology; above
-# it only the top degree is certified, by one apartment cycle
-_FULL_BUILDING_LIMIT = 5
-
-
-def _perm_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _building_top_certificate(p, k):
-    """Certify H~^{k-2}(prop(Sub((C_p)^k))) != 0 without the ambient complex.
-
-    One apartment suffices: its chains are distinct simplices of the ambient
-    order complex, the fundamental cycle has +-1 coefficients, and the
-    ambient complex has dimension exactly k-2 because orders strictly divide
-    along chains (at most k-1 proper orders p..p^{k-1}).  In top degree any
-    nonzero cycle is a nonzero homology class.
-    """
-    from itertools import permutations
-
-    chains = {}
-    for perm in permutations(range(k)):
-        sets = []
-        acc = []
-        for t in range(k - 1):
-            acc = sorted(acc + [perm[t]])
-            sets.append(tuple(acc))
-        sign = _perm_sign(perm)
-        chains[tuple(sets)] = sign
-    # boundary inside the abstract apartment: drop one subset from each chain
-    boundary = {}
-    for chain, sign in chains.items():
-        s = 1
-        for t in range(len(chain)):
-            face = chain[:t] + chain[t + 1 :]
-            boundary[face] = boundary.get(face, 0) + s * sign
-            s = -s
-    if any(boundary.values()):
-        raise IzextError("apartment fundamental cycle failed its boundary check")
-    return CohomSummary.top_only(k - 2)
-
-
-@lru_cache(maxsize=None)
-def _ptype_summary(p, part, need_full):
-    """Cohomology summary of prop(Sub) for the abelian p-group of type part."""
-    part = tuple(part)
-    if not part:
-        raise IzextError("trivial primary part should be skipped")
-    if part == (1,):
-        return CohomSummary.full({-1: 1})
-    if len(part) == 1:
-        # cyclic of order p^e, e >= 2: proper part is a chain, contractible
-        return CohomSummary.full({})
-    k = len(part)
-    if k > _FULL_BUILDING_LIMIT and all(e == 1 for e in part):
-        if need_full:
-            raise qlinalg.EliminationBudgetExceeded(
-                f"full cohomology of the rank-{k} building over F_{p} is out of budget"
-            )
-        return _building_top_certificate(p, k)
-    # reduce the proper part, then compute
-    G = group_from_primary_type({p: part})
-    lattice = groups.subgroup_lattice(G)
-    P = lattice.poset
-    top = lattice.top_index()
-    bottom = lattice.bottom_index()
-    interval = posets.open_interval(P, top, bottom)
-    core = posets.dismantle(interval)
-    cx = posets.order_complex(core)
-    return CohomSummary.full(qlinalg.reduced_cohomology_dims(cx))
-
-
-def prop_cohomology_of_type(type_key, need_full=False):
-    """Summary for prop(Sub_Q) where Q has the given primary type key.
-
-    Q is a product of its primary parts; Sub_Q is the product of the primary
-    lattices and the proper part of a product is the join of the factors'
-    proper parts with an S^0 between consecutive factors (tested against
-    direct computation on small products).
-    """
-    parts = [(p, tuple(part)) for p, part in type_key if part]
+    parts = [(p, part) for p, part in type_key if part]
     if not parts:
         raise IzextError("the trivial group has no proper part")
-    summaries = [_ptype_summary(p, part, need_full) for p, part in parts]
-    acc = summaries[0]
-    for s in summaries[1:]:
-        acc = join_summaries(_suspension(acc), s)
-    return acc
+    if any(e != 1 for _p, part in parts for e in part):
+        return {}
+    dim = 1
+    for p, part in parts:
+        k = len(part)
+        dim *= p ** (k * (k - 1) // 2)
+    return {sum(len(part) for _p, part in parts) - 2: dim}
 
 
 def section_contribution(type_key):
@@ -325,24 +178,19 @@ def section_contribution(type_key):
     """
     if not type_key:
         return 0  # Ext^0(S_x, S_x)
-    summary = prop_cohomology_of_type(type_key)
-    if summary.is_contractible():
+    dims = prop_cohomology_of_type(type_key)
+    if not dims:
         return None
-    return summary.max_degree() + 2
+    return max(dims) + 2
 
 
-def ext_dims_section(lattice, x, y, need_full=True):
-    """ext_dims for a comparable subgroup-lattice pair via the section type."""
-    P = lattice.poset
+def ext_dims_section(lattice, x, y):
+    """ext_dims for a subgroup-lattice pair, via the type of the section x/y."""
     if x == y:
         return {0: 1}
-    if not P.leq(y, x):
+    if not lattice.poset.leq(y, x):
         return {}
-    key = groups.quotient_type_key(lattice.subgroups[x], lattice.subgroups[y])
-    summary = prop_cohomology_of_type(key, need_full=need_full)
-    if summary.kind != "full":
-        raise IzextError("full Ext dims requested beyond the certified budget")
-    return _cohomology_to_ext(summary.dims)
+    return _cohomology_to_ext(prop_cohomology_of_type(lattice.section_type(x, y)))
 
 
 def gldim_subgroup_lattice(G):

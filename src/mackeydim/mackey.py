@@ -277,16 +277,16 @@ def scan_frattini(G):
     for key in section_keys:
         if not key or _squarefree_exponent_key(key):
             continue
-        summary = izext.prop_cohomology_of_type(key)
-        if summary.is_empty_complex():
+        dims = izext.prop_cohomology_of_type(key)
+        if dims == {-1: 1}:
             # |Sub| = 2: interval empty, pair not eligible
             continue
-        ok = summary.is_contractible()
+        ok = not dims
         vanishing.append({"section": _key_name(key), "acyclic": ok})
         if not ok:
             raise DiscrepancyError(
                 "eligible interval with non-vanishing cohomology",
-                {"section": _key_name(key), "summary": repr(summary)},
+                {"section": _key_name(key), "cohomology": dims},
             )
     pair_stats = _literal_pair_scan(G)
     # frattini_realization raises unless its degree is the gldim
@@ -316,11 +316,14 @@ def _literal_pair_scan(G):
     """Per-pair eligibility count on the actual lattice, when affordable.
 
     For squarefree-exponent G every Phi(H) is trivial, so no pair is
-    eligible and the loop is skipped structurally.  Phi(H) is read off
-    groups.frattini_closed_form, which the test suite checks against the
-    lattice route.  When the eligible-pair count exceeds the per-pair
-    budget, the exact count is still reported and vanishing is covered by
-    the per-section verification.
+    eligible and the loop is skipped structurally.  Phi(H) comes from the
+    lattice (SubgroupLattice.frattini) and each pair's section type from
+    SubgroupLattice.section_type.  Vanishing is checked once per distinct
+    eligible type, by the generic route (izext.ext_dims) on the first
+    eligible interval of that type: order complex and elimination, sharing
+    nothing with the closed form behind the type-level check.  When the
+    eligible-pair count exceeds the per-pair budget, the exact count is
+    still reported and vanishing is covered by the type-level check alone.
     """
     if all(e == 1 for _p, e in G.factors):
         return {"mode": "skipped-squarefree-exponent", "eligible_pairs": 0}
@@ -333,7 +336,7 @@ def _literal_pair_scan(G):
     eligible_masks = []
     eligible = 0
     for h in range(n):
-        phi = lattice.index_of(groups.frattini_closed_form(lattice.subgroups[h]))
+        phi = lattice.frattini(h)
         # eligible K: strictly below h, not above phi, interval non-empty
         mask = P.down[h] & ~(1 << h) & ~P.up[phi]
         cand = mask
@@ -354,12 +357,9 @@ def _literal_pair_scan(G):
             while m:
                 kk = (m & -m).bit_length() - 1
                 m &= m - 1
-                key = groups.quotient_type_key(
-                    lattice.subgroups[h], lattice.subgroups[kk]
-                )
+                key = lattice.section_type(h, kk)
                 if key not in checked_types:
-                    summary = izext.prop_cohomology_of_type(key)
-                    checked_types[key] = summary.is_contractible()
+                    checked_types[key] = izext.ext_dims(P, h, kk) == {}
                 if not checked_types[key]:
                     raise DiscrepancyError(
                         "eligible pair with non-vanishing interval cohomology",

@@ -14,7 +14,6 @@ from math import gcd
 
 __all__ = [
     "QLinalgError",
-    "EliminationBudgetExceeded",
     "IntEchelon",
     "bareiss_rank",
     "gauss_rank",
@@ -30,10 +29,6 @@ __all__ = [
 
 
 class QLinalgError(Exception):
-    pass
-
-
-class EliminationBudgetExceeded(QLinalgError):
     pass
 
 

@@ -13,14 +13,12 @@ from mackeydim.groups import (
     abelian_groups_of_order,
     count_prime_power_factors,
     enumerate_subgroups,
-    frattini_closed_form,
     full_subgroup,
     group_from_primary_type,
     join,
     meet,
     parse_group,
     quotient_invariants,
-    quotient_type_key,
     section_type_keys,
     subgroup_elements,
     subgroup_from_columns,
@@ -28,6 +26,8 @@ from mackeydim.groups import (
     subgroup_lattice,
     trivial_subgroup,
 )
+
+from section_oracle import frattini_closed_form, quotient_type_key
 
 
 class TestParse:
@@ -237,6 +237,19 @@ class TestCountPPF:
             count_prime_power_factors([1])
 
 
+READER_SPECS = ["C2xC2xC2xC4xC4", "C2xC2xC2xC2xC8", "C2xC2xC2xC2xC4xC3",
+                "C2xC4096"]
+
+
+@lru_cache(maxsize=None)
+def reader_lattices():
+    """Every group of order <= 64, three larger 2-groups and one past the
+    element-engine gate (|G| > 4096)."""
+    corpus = [G for n in range(1, 65) for G in abelian_groups_of_order(n)]
+    corpus += [parse_group(spec) for spec in READER_SPECS]
+    return tuple(subgroup_lattice(G) for G in corpus)
+
+
 class TestFrattini:
     def test_c4(self, lattice_cache):
         lat = lattice_cache("C12")
@@ -282,12 +295,11 @@ class TestFrattini:
 
     def test_closed_form_agreement_all_subgroups(self):
         # the per-subgroup closed form Phi(H) = intersection of pH matches the
-        # lattice route (intersect maximal elements below H) everywhere
-        for spec in ["C2xC4", "C8xC2", "C36", "C3xC9", "2^2*2*3"]:
-            lat = subgroup_lattice(parse_group(spec))
+        # lattice route (meet of the prime-index subgroups of H) everywhere
+        for lat in reader_lattices():
             for h in range(lat.n):
                 phi = frattini_closed_form(lat.subgroups[h])
-                assert lat.frattini(h) == lat.index_of(phi), (spec, lat.label(h))
+                assert lat.frattini(h) == lat.index_of(phi), (lat.group, lat.label(h))
 
 
 # Brute-force type oracle: every subgroup and every quotient, one SNF each.
@@ -361,6 +373,23 @@ class TestSectionTypes:
             assert set(closed) == brute_subgroup_keys(G), (p, part)
             assert set(closed) == brute_quotient_keys(G), (p, part)
             assert set(closed) == brute_section_keys(G), (p, part)
+
+
+    def test_section_type_matches_smith_form(self):
+        for lat in reader_lattices():
+            subs = lat.subgroups
+            for h in range(lat.n):
+                m = lat.poset.down[h]
+                while m:
+                    k = (m & -m).bit_length() - 1
+                    m &= m - 1
+                    assert lat.section_type(h, k) == quotient_type_key(subs[h], subs[k]), (
+                        lat.group, lat.label(h), lat.label(k))
+
+    def test_section_type_requires_containment(self, lattice_cache):
+        lat = lattice_cache("C6")
+        with pytest.raises(ContainmentError):
+            lat.section_type(lat.index_of_label("C2"), lat.index_of_label("C3"))
 
 
 class TestGroupsOfOrder:

@@ -9,12 +9,12 @@ from mackeydim.izext import (
     frattini_realization,
     gldim_incidence,
     gldim_subgroup_lattice,
-    join_dims,
     prop_cohomology_of_type,
     section_contribution,
 )
 
 from conftest import FIXTURES, random_poset
+from section_oracle import FULL_BUILDING_LIMIT, building_summary, join_dims
 
 
 def f5_subgroups():
@@ -130,7 +130,7 @@ class TestSectionEngine:
         assert join_dims({1: 2}, empty) == {1: 2}
 
     def test_join_formula_matches_direct(self, lattice_cache):
-        # prop(Sub_{A x B}) for coprime A, B vs the join-convolution route
+        # prop(Sub_{A x B}) for coprime A, B vs the closed form
         for a, b in [("C2", "C3"), ("C2xC2", "C3"), ("C4", "C9"), ("C2xC2", "C3xC3")]:
             A = groups.parse_group(a)
             B = groups.parse_group(b)
@@ -141,20 +141,42 @@ class TestSectionEngine:
             )
             direct = qlinalg.reduced_cohomology_dims(posets.order_complex(interval))
             key = groups.primary_type_key(G.primary_type())
-            summary = prop_cohomology_of_type(key, need_full=True)
-            assert summary.dims == direct
+            assert prop_cohomology_of_type(key) == direct
 
     def test_building_dimensions(self):
-        for p, k in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]:
+        # Solomon-Tits: Ext^k(S_Q, S_1) = Q^{p^{k(k-1)/2}} for Q = (C_p)^k,
+        # also past the rank that the building oracle eliminates in full
+        for p, k in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2), (2, 6), (2, 7), (3, 6)]:
             key = groups.primary_type_key({p: (1,) * k})
-            summary = prop_cohomology_of_type(key, need_full=True)
-            assert summary.dims == {k - 2: p ** (k * (k - 1) // 2)}
+            assert prop_cohomology_of_type(key) == {k - 2: p ** (k * (k - 1) // 2)}
+            assert section_contribution(key) == k
 
     def test_large_building_top_certificate(self):
+        # above rank five the oracle certifies only the top degree
         key = groups.primary_type_key({2: (1,) * 7})
-        summary = prop_cohomology_of_type(key)
-        assert summary.kind == "top" and summary.top == 5
+        assert building_summary(key) == ("top", 5)
+        assert max(prop_cohomology_of_type(key)) == 5
         assert section_contribution(key) == 7
+
+    def test_closed_form_matches_building_oracle(self):
+        # every section type of the groups of order <= 200 and of six larger
+        # groups: full dims where the oracle eliminates, else the top degree
+        specs = ["C3xC3xC3xC3", "C2xC2xC4xC4", "C2xC2xC2xC2xC2", "C5xC5xC5",
+                 "C7xC7xC7", "C3xC3xC3xC9"]
+        corpus = [G for n in range(1, 201) for G in groups.abelian_groups_of_order(n)]
+        corpus += [groups.parse_group(spec) for spec in specs]
+        keys = {key for G in corpus for key in groups.section_type_keys(G) if key}
+        tops = 0
+        for key in sorted(keys):
+            kind, value = building_summary(key)
+            dims = prop_cohomology_of_type(key)
+            if kind == "full":
+                assert dims == value, key
+            else:
+                tops += 1
+                assert max(dims) == value, key
+                assert any(len(part) > FULL_BUILDING_LIMIT for _p, part in key), key
+        assert len(keys) == 390 and tops == 3
 
     def test_contractible_sections(self):
         for p, part in [(2, (2,)), (2, (2, 1)), (3, (2, 2)), (2, (3, 1))]:
@@ -177,6 +199,30 @@ class TestSectionEngine:
 
     def test_trivial_group(self):
         assert gldim_subgroup_lattice(groups.parse_group("C1")) == 0
+
+
+def moebius_from(P, k):
+    """mu(k, h) for every h, by mu(k, k) = 1, mu(k, h) = -sum_{k <= l < h} mu(k, l)."""
+    mu = {}
+    above = P.up[k]
+    for h in range(P.n):  # a linear extension: P.up[x] only holds x and later
+        if above >> h & 1:
+            mu[h] = 1 if h == k else -sum(mu[l] for l in mu if P.down[h] >> l & 1)
+    return mu
+
+
+class TestMoebius:
+    @pytest.mark.parametrize("spec", ["C2xC2xC2xC2", "C3xC3xC3", "C2xC4xC8",
+                                      "C2xC2xC3xC3xC5"])
+    def test_euler_characteristic_is_moebius(self, lattice_cache, spec):
+        # Rota: sum_n (-1)^n dim Ext^n(S_H, S_K) = mu(K, H), zero off K <= H
+        lat = lattice_cache(spec)
+        P = lat.poset
+        for k in range(lat.n):
+            mu = moebius_from(P, k)
+            for h in range(lat.n):
+                chi = sum((-1) ** n * d for n, d in ext_dims_section(lat, h, k).items())
+                assert chi == mu.get(h, 0), (spec, lat.label(h), lat.label(k))
 
 
 class TestFrattiniRealization:

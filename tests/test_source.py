@@ -49,21 +49,43 @@ def test_mackey_leaves_closure_to_transfer():
     assert not found, found
 
 
+def _calls(node):
+    """Names of the functions and methods called anywhere inside node."""
+    return {
+        getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+        for call in ast.walk(node)
+        if isinstance(call, ast.Call)
+    }
+
+
+def _function(module, name):
+    path = Path(mackeydim.__file__).parent / f"{module}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
 def test_monotonicity_scan_reads_the_closed_form():
     # scan_monotonicity takes each gldim from the family (gldim_of_family)
-    path = Path(mackeydim.__file__).parent / "mackey.py"
-    tree = ast.parse(path.read_text(), filename=str(path))
-    scan = next(node for node in tree.body
-                if isinstance(node, ast.FunctionDef) and node.name == "scan_monotonicity")
     banned = {"gldim_mackey", "class_dim", "validate", "inseparability_classes"}
-    found = [
-        node.lineno
-        for node in ast.walk(scan)
-        if isinstance(node, ast.Call)
-        and (getattr(node.func, "id", None) in banned
-             or getattr(node.func, "attr", None) in banned)
-    ]
+    found = _calls(_function("mackey", "scan_monotonicity")) & banned
     assert not found, found
+
+
+def test_izext_builds_no_lattice():
+    # the section route reads types off the caller's lattice and the closed form
+    path = Path(mackeydim.__file__).parent / "izext.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert "subgroup_lattice" not in _calls(tree)
+
+
+def test_section_types_are_read_off_the_lattice():
+    # Phi and section types come from SubgroupLattice, with no SNF or meet
+    banned = {"quotient_invariants", "quotient_type_key", "smith_normal_form",
+              "meet", "frattini_closed_form"}
+    for module, name in [("mackey", "_literal_pair_scan"), ("izext", "ext_dims_section")]:
+        found = _calls(_function(module, name)) & banned
+        assert not found, (name, found)
 
 
 def test_runs_without_numpy():
