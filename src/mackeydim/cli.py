@@ -94,7 +94,7 @@ def lattice(group_spec, fmt, output, max_order, max_subgroups):
         _emit(posets.poset_to_text(lat.poset), output)
         return
     rows = [
-        (lat.label(i), lat.subgroups[i].order, lat.subgroups[i].iso_name())
+        (lat.label(i), lat.subgroups[i].order, groups.type_name(lat.subgroup_type(i)))
         for i in range(lat.n)
     ]
     if fmt == "json":

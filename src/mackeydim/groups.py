@@ -3,15 +3,20 @@
 A group is a product of cyclic factors of prime-power order; a subgroup is
 the canonical column-HNF basis of an integer lattice L with
 diag(n_1..n_k) Z^k <= L <= Z^k.  Equality of subgroups is bitwise equality
-of bases, quotients reduce to one Smith normal form.  On a built lattice,
-Frattini subgroups and section types are read off the order bitmasks
-instead (SubgroupLattice.frattini, SubgroupLattice.section_type).
+of bases.  For coprime orders Sub(A x B) = Sub(A) x Sub(B) (R. Schmidt,
+Subgroup Lattices of Groups, 1994, 1.6), so subgroup_lattice builds one
+table per primary part (its subgroups, their orders, up-sets, Frattini
+subgroups and types) and reads the lattice of G off their product.  Orders,
+Frattini subgroups, labels and section types all split by prime, so no
+Smith normal form is taken (SubgroupLattice.frattini,
+SubgroupLattice.section_type).
 """
 
 from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import add, mod
 
 from . import qlinalg
 from .posets import FinitePoset
@@ -28,13 +33,10 @@ __all__ = [
     "group_from_primary_type",
     "subgroup_lattice",
     "enumerate_subgroups",
-    "count_prime_power_factors",
-    "quotient_invariants",
     "meet",
     "join",
-    "subgroup_elements",
-    "subgroup_from_elements",
     "primary_type_key",
+    "type_name",
     "section_type_keys",
 ]
 
@@ -183,6 +185,18 @@ def primary_type_key(type_map):
     return tuple(sorted((p, tuple(sorted(part, reverse=True))) for p, part in type_map.items() if part))
 
 
+def type_name(type_key):
+    """`C<d_1>x...xC<d_r>`: the invariant factors d_1 | ... | d_r of a group
+    of this primary type, ascending; d_{r+1-i} multiplies the i-th largest
+    part of every prime.  The trivial group is `C1`."""
+    rank = max((len(part) for _p, part in type_key), default=0)
+    invariants = [1] * rank
+    for p, part in type_key:
+        for i, e in enumerate(part):
+            invariants[i] *= p**e
+    return "x".join(f"C{d}" for d in reversed(invariants)) or "C1"
+
+
 class Subgroup:
     """Canonical subgroup of an AbelianGroup: column-HNF lattice basis."""
 
@@ -204,16 +218,6 @@ class Subgroup:
             raise GroupError("ambient mismatch")
         return all(_in_span(self.cols, list(c)) for c in other.cols)
 
-    def invariant_factors(self):
-        """Invariant factor decomposition of the subgroup as an abstract group."""
-        return quotient_invariants(self, trivial_subgroup(self.ambient))
-
-    def iso_name(self):
-        invs = self.invariant_factors()
-        if not invs:
-            return "C1"
-        return "x".join(f"C{d}" for d in invs)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subgroup)
@@ -228,7 +232,7 @@ class Subgroup:
         return self._key < other._key
 
     def __repr__(self):
-        return f"Subgroup({self.iso_name()} of {self.ambient.spec_string()})"
+        return f"Subgroup(order {self.order}, cols {self.cols} of {self.ambient.spec_string()})"
 
 
 def _in_span(cols, v):
@@ -268,11 +272,6 @@ def subgroup_from_columns(G, columns):
     return Subgroup(G, cols, G.order // det)
 
 
-def trivial_subgroup(G):
-    cols = [[G.moduli[i] if i == j else 0 for i in range(G.k)] for j in range(G.k)]
-    return subgroup_from_columns(G, cols)
-
-
 def full_subgroup(G):
     cols = [[1 if i == j else 0 for i in range(G.k)] for j in range(G.k)]
     return subgroup_from_columns(G, cols)
@@ -302,58 +301,6 @@ def join(H, K):
     if H.ambient != K.ambient:
         raise GroupError("ambient mismatch")
     return subgroup_from_columns(H.ambient, list(H.cols) + list(K.cols))
-
-
-def quotient_invariants(H, K):
-    """Invariant factors (entries > 1) of H/K; requires K <= H."""
-    if H.ambient != K.ambient:
-        raise GroupError("ambient mismatch")
-    G = H.ambient
-    k = G.k
-    if k == 0:
-        return []
-    X = []
-    for j in range(k):
-        x = _solve_lower(H.cols, list(K.cols[j]))
-        if x is None:
-            raise ContainmentError("K is not contained in H")
-        X.append(x)
-    rows = [[X[j][i] for j in range(k)] for i in range(k)]
-    diag = qlinalg.smith_normal_form(rows)
-    prod = 1
-    for d in diag:
-        prod *= d
-    if prod != H.order // K.order:
-        raise GroupError("SNF determinant mismatch")
-    return [d for d in diag if d > 1]
-
-
-def _solve_lower(cols, v):
-    k = len(v)
-    v = list(v)
-    x = [0] * k
-    for j in range(k):
-        pivot = cols[j][j]
-        if v[j] % pivot:
-            return None
-        q = v[j] // pivot
-        x[j] = q
-        if q:
-            for i in range(j, k):
-                v[i] -= q * cols[j][i]
-    if any(v):
-        return None
-    return x
-
-
-def count_prime_power_factors(invariants):
-    """Number of prime-power cyclic factors in the primary decomposition."""
-    total = 0
-    for d in invariants:
-        if d <= 1:
-            raise GroupError(f"invariant factor {d} <= 1")
-        total += len(_factorize(d))
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -395,13 +342,33 @@ def _gaussian_subspace_count(p, m):
     return total
 
 
+def _block_order(moduli, block):
+    order = 1
+    for j, col in enumerate(block):
+        order *= moduli[j] // col[j]
+    return order
+
+
+def _lattice_sorted(moduli, blocks):
+    """Blocks sorted as Subgroup.sort_key sorts subgroups: by order, then
+    row-major basis."""
+    m = len(moduli)
+
+    def key(block):
+        return (_block_order(moduli, block),
+                tuple(block[j][i] for i in range(m) for j in range(m)))
+
+    return tuple(sorted(blocks, key=key))
+
+
 @lru_cache(maxsize=None)
 def _prime_block_bases(p, exps):
     """All canonical HNF blocks for the abelian p-group prod C_{p^e}.
 
     exps is the ascending exponent tuple (matching factor order).  Returns
     column lists (m x m lower-triangular HNF) for every subgroup lattice
-    between diag(p^e) Z^m and Z^m.
+    between diag(p^e) Z^m and Z^m, sorted as the subgroups of that p-group
+    are (_lattice_sorted).
     """
     m = len(exps)
     moduli = [p**e for e in exps]
@@ -420,7 +387,7 @@ def _prime_block_bases(p, exps):
             blocks.append(tuple(tuple(c) for c in basis))
         if not len(set(blocks)) == len(blocks) == _gaussian_subspace_count(p, m):
             raise GroupError("subspace count differs from the Gaussian binomial")
-        return tuple(sorted(blocks))
+        return _lattice_sorted(moduli, blocks)
 
     # general case: recursive column-wise enumeration with exact pruning;
     # column j is chosen after columns > j, and N_j e_j must already lie in
@@ -463,57 +430,202 @@ def _prime_block_bases(p, exps):
 
     for diag in iproduct(*divisor_choices):
         build(m - 1, list(diag), [])
-    return tuple(sorted(set(results)))
+    return _lattice_sorted(moduli, set(results))
 
 
-def enumerate_subgroups(G, max_order=100000, max_count=None):
-    """All subgroups of G, sorted by (order, row-major basis)."""
+def _primary_parts(G, max_order, max_count):
+    """(p, ascending exponents, blocks) per prime of G, primes ascending.
+
+    The subgroup count is the product of the block counts, so both budgets
+    are checked before any subgroup or table is built.
+    """
     if G.order > max_order:
         raise BudgetExceededError(
             f"|G| = {G.order} exceeds enumeration budget {max_order}"
         )
     ptype = {}
-    positions = {}
-    for idx, (p, e) in enumerate(G.factors):
+    for p, e in G.factors:
         ptype.setdefault(p, []).append(e)
-        positions.setdefault(p, []).append(idx)
-    primes = sorted(ptype)
-    per_prime = [
-        _prime_block_bases(p, tuple(ptype[p])) for p in primes
-    ]
-    k = G.k
-    subs = []
+    parts = [(p, tuple(es), _prime_block_bases(p, tuple(es))) for p, es in sorted(ptype.items())]
+    count = 1
+    for _p, _exps, blocks in parts:
+        count *= len(blocks)
+    if max_count is not None and count > max_count:
+        raise BudgetExceededError(f"subgroup count exceeds {max_count}", found=count)
+    return parts
+
+
+def _product(G, parts):
+    """Subgroups of G and their per-prime block indices, in lattice order.
+
+    G's factors are sorted by prime, so a subgroup's basis is block diagonal
+    and its row-major flattening lists the primes' blocks in turn.  At a
+    fixed order every block's order is fixed too, so sorting by (order,
+    block indices) is sorting by Subgroup.sort_key.
+    """
     from itertools import product as iproduct
 
-    count = 0
-    for combo in iproduct(*per_prime):
-        count += 1
-        if max_count is not None and count > max_count:
-            raise BudgetExceededError(
-                f"subgroup count exceeds {max_count}", found=count
-            )
+    moduli = [[p**e for e in exps] for p, exps, _blocks in parts]
+    orders = [[_block_order(mod, b) for b in blocks] for mod, (_p, _e, blocks) in zip(moduli, parts)]
+    keyed = []
+    for comps in iproduct(*[range(len(o)) for o in orders]):
+        order = 1
+        for o, c in zip(orders, comps):
+            order *= o[c]
+        keyed.append((order, comps))
+    keyed.sort()
+    k = G.k
+    subs = []
+    for order, comps in keyed:
         cols = [[0] * k for _ in range(k)]
-        det = 1
-        for p, block in zip(primes, combo):
-            pos = positions[p]
-            for bj, gj in enumerate(pos):
-                col = block[bj]
-                for bi, gi in enumerate(pos):
-                    cols[gj][gi] = col[bi]
-                det *= col[bj]
-        sub = Subgroup(G, tuple(tuple(c) for c in cols), G.order // det)
-        subs.append(sub)
-    subs.sort(key=lambda s: s.sort_key())
-    return subs
+        offset = 0
+        for (_p, exps, blocks), c in zip(parts, comps):
+            for j, col in enumerate(blocks[c]):
+                cols[offset + j][offset:offset + len(exps)] = col
+            offset += len(exps)
+        subs.append(Subgroup(G, tuple(tuple(c) for c in cols), order))
+    return subs, [comps for _order, comps in keyed]
+
+
+def enumerate_subgroups(G, max_order=100000, max_count=None):
+    """All subgroups of G, sorted by (order, row-major basis)."""
+    return _product(G, _primary_parts(G, max_order, max_count))[0]
+
+
+# Up to this many elements a primary part's inclusion order comes from
+# element sets; above it, from HNF membership of the block columns.
+_ELEMENT_ORDER_LIMIT = 4096
+
+
+def _element_up_masks(moduli, blocks):
+    """Up-masks of the blocks of one primary part, from element sets.
+
+    Block i holds the elements sum_j a_j c_j with 0 <= a_j < n_j / c_j[j],
+    each exactly once since the columns c_j are in HNF.  containing[x] is
+    the mask of the blocks holding element x, and the blocks above block i
+    are those holding each of its columns.
+    """
+    containing = {}
+    get = containing.get
+    zero = (0,) * len(moduli)
+    for i, block in enumerate(blocks):
+        elements = [zero]
+        for j, col in enumerate(block):
+            grown = list(elements)
+            step = elements
+            for _ in range(1, moduli[j] // col[j]):
+                step = [tuple(map(mod, map(add, x, col), moduli)) for x in step]
+                grown += step
+            elements = grown
+        if len(set(elements)) != _block_order(moduli, block):
+            raise GroupError("element count differs from the subgroup order")
+        bit = 1 << i
+        for x in elements:
+            containing[x] = get(x, 0) | bit
+    up = []
+    for block in blocks:
+        row = -1
+        for col in block:
+            row &= containing[tuple(map(mod, col, moduli))]
+        up.append(row)
+    return up
+
+
+def _span_up_masks(sizes, blocks):
+    """Up-masks of the blocks of one primary part, by HNF membership."""
+    n = len(blocks)
+    up = []
+    for i, block in enumerate(blocks):
+        row = 1 << i
+        # sorted by order, so a proper overgroup comes later and is larger
+        for j in range(i + 1, n):
+            if sizes[j] > sizes[i] and all(_in_span(blocks[j], col) for col in block):
+                row |= 1 << j
+        up.append(row)
+    return up
+
+
+class _PrimeTable:
+    """Sub(P) for one primary part P = prod_j C_{p^e_j} of G.
+
+    Block i is the i-th subgroup of P in lattice order, so a p-group's
+    lattice is its table.  sizes[i] is log_p of its order, up[i] the mask of
+    the blocks containing it, phi[i] its Frattini subgroup and types[i] its
+    type, a descending partition.
+    """
+
+    __slots__ = ("p", "sizes", "up", "phi", "types")
+
+    def __init__(self, p, exps, blocks):
+        moduli = [p**e for e in exps]
+        n = len(blocks)
+        self.p = p
+        self.sizes = sizes = [
+            sum(e - _valuation(col[j], p) for j, (e, col) in enumerate(zip(exps, b)))
+            for b in blocks
+        ]
+        if p ** sum(exps) <= _ELEMENT_ORDER_LIMIT:
+            self.up = up = _element_up_masks(moduli, blocks)
+        else:
+            self.up = up = _span_up_masks(sizes, blocks)
+        down = [0] * n
+        for i, row in enumerate(up):
+            while row:
+                j = (row & -row).bit_length() - 1
+                row &= row - 1
+                down[j] |= 1 << i
+        by_size = {}
+        for j, s in enumerate(sizes):
+            by_size[s] = by_size.get(s, 0) | 1 << j
+        # Phi(H) is the meet of the subgroups of index p in H, and sorted by
+        # order it is the highest block below all of them
+        self.phi = phi = []
+        for h in range(n):
+            acc = down[h]
+            maximal = down[h] & by_size.get(sizes[h] - 1, 0)
+            while maximal:
+                j = (maximal & -maximal).bit_length() - 1
+                maximal &= maximal - 1
+                acc &= down[j]
+            phi.append(acc.bit_length() - 1)
+        self.types = [self.section_type(h, 0) for h in range(n)]
+
+    def section_type(self, h, k):
+        """Partition of H/K for blocks k <= h.
+
+        Phi^t(H) K / K = Phi^t(H/K), so s_t = log_p |Phi^t(H) v K| - log_p |K|
+        has s_t - s_{t+1} equal to the number of parts of H/K above t;
+        conjugating those counts gives the partition.  The join of a and k
+        is the lowest set bit of up[a] & up[k], since blocks are sorted by
+        order.
+        """
+        up, sizes, phi = self.up, self.sizes, self.phi
+        base = sizes[k]
+        up_k = up[k]
+        above = []  # above[t]: the number of parts larger than t
+        a = h
+        s = sizes[h] - base
+        while s:
+            a = phi[a]
+            joined = up[a] & up_k
+            nxt = sizes[(joined & -joined).bit_length() - 1] - base
+            above.append(s - nxt)
+            s = nxt
+        return tuple(sum(1 for c in above if c > j) for j in range(above[0])) if above else ()
 
 
 class SubgroupLattice:
-    """Subgroups of G with the inclusion poset and label bookkeeping."""
+    """Subgroups of G with the inclusion poset and label bookkeeping.
 
-    def __init__(self, group, subgroups, poset):
+    comps[i] lists subgroup i's block index in each primary table.
+    """
+
+    def __init__(self, group, subgroups, poset, tables, comps):
         self.group = group
         self.subgroups = subgroups
         self.poset = poset
+        self._tables = tables
+        self._comps = comps
         self._by_cols = {s.cols: i for i, s in enumerate(subgroups)}
         self._by_label = {lab: i for i, lab in enumerate(poset.labels)}
         self._phi = None  # built on the first frattini call
@@ -552,63 +664,35 @@ class SubgroupLattice:
         return self.subgroups[self.frattini(self.index_of(H))]
 
     def frattini(self, i):
-        """Phi of subgroup i: the meet of its maximal subgroups.
-
-        In an abelian group the maximal subgroups of H are those of prime
-        index, so the down-set of Phi(H) is the intersection of their
-        down-sets; subgroups are sorted by order, so Phi(H) is its highest
-        set bit.  The table is built on the first call, once per lattice.
-        """
+        """Phi of subgroup i: the product of the Frattini subgroups of its
+        primary components.  The table is built on the first call."""
         if self._phi is None:
-            down = self.poset.down
-            orders = [s.order for s in self.subgroups]
-            by_order = {}
-            for j, o in enumerate(orders):
-                by_order[o] = by_order.get(o, 0) | 1 << j
-            primes = [p for p, _e in _factorize(self.group.order)]
-            phi = []
-            for h, o in enumerate(orders):
-                acc = down[h]
-                for p in primes:
-                    if o % p == 0:
-                        maximal = down[h] & by_order[o // p]
-                        while maximal:
-                            j = (maximal & -maximal).bit_length() - 1
-                            maximal &= maximal - 1
-                            acc &= down[j]
-                phi.append(acc.bit_length() - 1)
-            self._phi = phi
+            index = {comps: j for j, comps in enumerate(self._comps)}
+            self._phi = [
+                index[tuple(t.phi[c] for t, c in zip(self._tables, comps))]
+                for comps in self._comps
+            ]
         return self._phi[i]
 
-    def section_type(self, h, k):
-        """Primary-type key of H/K for subgroups k <= h, read off the lattice.
+    def subgroup_type(self, i):
+        """Primary-type key of subgroup i, off the primary tables."""
+        return _component_type(self._tables, self._comps[i])
 
-        Phi^i(H) K / K = Phi^i(H/K), so o_i = |Phi^i(H) v K| / |K| is the
-        order of Phi^i(H/K), and for each prime p, v_p(o_i) - v_p(o_{i+1})
-        counts the parts of the p-type lambda_p of H/K that exceed i;
-        conjugating those counts gives lambda_p.  The join of a and k is the
-        lowest set bit of up[a] & up[k], since subgroups are sorted by order.
-        """
-        up = self.poset.up
-        if not up[k] >> h & 1:
+    def section_type(self, h, k):
+        """Primary-type key of H/K for subgroups k <= h: the p-part of H/K is
+        the section of their p-components, read off the table of p."""
+        if not self.poset.up[k] >> h & 1:
             raise ContainmentError("K is not contained in H")
-        subs = self.subgroups
-        base = subs[k].order
-        orders = []  # o_0, o_1, ... while above 1
-        a = h
-        while True:
-            above = up[a] & up[k]
-            o = subs[(above & -above).bit_length() - 1].order // base
-            if o == 1:
-                break
-            orders.append(o)
-            a = self.frattini(a)
-        type_map = {}
-        for p, _e in _factorize(orders[0]) if orders else ():
-            vals = [_valuation(o, p) for o in orders] + [0]
-            above_i = [vals[i] - vals[i + 1] for i in range(len(orders))]
-            type_map[p] = tuple(sum(1 for c in above_i if c > j) for j in range(above_i[0]))
-        return primary_type_key(type_map)
+        return tuple(
+            (t.p, t.section_type(a, b))
+            for t, a, b in zip(self._tables, self._comps[h], self._comps[k])
+            if a != b
+        )
+
+
+def _component_type(tables, comps):
+    # block 0 of every table is the trivial subgroup
+    return tuple((t.p, t.types[c]) for t, c in zip(tables, comps) if c)
 
 
 def _valuation(n, p):
@@ -619,8 +703,7 @@ def _valuation(n, p):
     return v
 
 
-def _make_labels(subgroups):
-    names = [s.iso_name() for s in subgroups]
+def _make_labels(names):
     from collections import Counter
 
     total = Counter(names)
@@ -636,87 +719,38 @@ def _make_labels(subgroups):
 
 
 def subgroup_lattice(G, max_order=100000, max_count=6000):
-    """All subgroups plus the inclusion poset, deterministically ordered."""
-    subs = enumerate_subgroups(G, max_order=max_order, max_count=max_count)
+    """All subgroups plus the inclusion poset, deterministically ordered.
+
+    Sub(G) is the product of the primary tables: for each prime p, U_p[c]
+    is the mask of the subgroups whose p-component lies above block c, and
+    the up-set of a subgroup is the AND over p of U_p at its p-component.
+    """
+    parts = _primary_parts(G, max_order, max_count)
+    tables = [_PrimeTable(p, exps, blocks) for p, exps, blocks in parts]
+    subs, comps = _product(G, parts)
     n = len(subs)
-    labels = _make_labels(subs)
-    use_elements = G.order <= _ELEMENT_ORDER_LIMIT and G.k > 0
-    up = [0] * n
-    if use_elements:
-        index = {t: i for i, t in enumerate(group_elements(G))}
-        masks = [_element_mask(s, index) for s in subs]
-        for i in range(n):
-            mi = masks[i]
-            oi = subs[i].order
-            row = 0
-            for j in range(n):
-                if subs[j].order % oi == 0 and mi & ~masks[j] == 0:
-                    row |= 1 << j
-            up[i] = row
+    if len(tables) == 1:
+        up = tables[0].up  # a p-group's lattice is its table
     else:
-        for i in range(n):
-            row = 0
-            for j in range(n):
-                if subs[j].order % subs[i].order == 0 and subs[j].contains(subs[i]):
-                    row |= 1 << j
-            up[i] = row
+        up = [(1 << n) - 1] * n
+        for pos, t in enumerate(tables):
+            at = [0] * len(t.up)
+            for g, c in enumerate(comps):
+                at[c[pos]] |= 1 << g
+            above = []
+            for row in t.up:
+                acc = 0
+                while row:
+                    c = (row & -row).bit_length() - 1
+                    row &= row - 1
+                    acc |= at[c]
+                above.append(acc)
+            up = [row & above[c[pos]] for row, c in zip(up, comps)]
+    keys = [_component_type(tables, c) for c in comps]
+    names = {key: type_name(key) for key in set(keys)}
+    labels = _make_labels([names[key] for key in keys])
     poset = FinitePoset(n, labels, up, validate=False)
-    return SubgroupLattice(G, subs, poset)
-
-
-# ---------------------------------------------------------------------------
-# Element-set engine (lattice order for small groups, oracle for tests)
-# ---------------------------------------------------------------------------
-
-_ELEMENT_ORDER_LIMIT = 4096
-
-
-def _check_element_budget(G):
-    if G.order > _ELEMENT_ORDER_LIMIT:
-        raise BudgetExceededError(
-            f"element-set engine is gated to |G| <= {_ELEMENT_ORDER_LIMIT}"
-        )
-
-
-def group_elements(G):
-    from itertools import product as iproduct
-
-    _check_element_budget(G)
-    return [tuple(t) for t in iproduct(*[range(m) for m in G.moduli])]
-
-
-def subgroup_elements(H):
-    """Elements of H as tuples modulo the ambient moduli."""
-    G = H.ambient
-    _check_element_budget(G)
-    k = G.k
-    gens = [tuple(c[i] % G.moduli[i] for i in range(k)) for c in H.cols]
-    zero = tuple([0] * k)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        cur = frontier.pop()
-        for g in gens:
-            nxt = tuple((cur[i] + g[i]) % G.moduli[i] for i in range(k))
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    if len(seen) != H.order:
-        raise GroupError("element closure size differs from the subgroup order")
-    return frozenset(seen)
-
-
-def _element_mask(H, index):
-    mask = 0
-    for t in subgroup_elements(H):
-        mask |= 1 << index[t]
-    return mask
-
-
-def subgroup_from_elements(G, elements):
-    """Canonical subgroup from an element set (closure assumed)."""
-    cols = [list(t) for t in elements]
-    return subgroup_from_columns(G, cols)
+    return SubgroupLattice(G, subs, poset, tables, comps)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 import json
 
 from . import groups, izext, transfer
-from .groups import count_prime_power_factors, quotient_invariants
 from .izext import DiscrepancyError
 
 __all__ = [
@@ -101,23 +100,14 @@ def class_dim(partition, rep):
     lattice = partition.system.lattice
     c = partition.class_of_representative(rep)
     members = partition.classes[c]
-    H = lattice.subgroups[rep]
     minimal = _minimal_members(lattice, members)
-    via_minimal = 0
-    for k in minimal:
-        n = count_prime_power_factors(
-            quotient_invariants(H, lattice.subgroups[k])
-        )
-        via_minimal = max(via_minimal, n)
+    via_minimal = max((_factor_count(lattice, rep, k) for k in minimal), default=0)
     via_pairs = 0
     P = lattice.poset
     for a in members:
         for b in members:
             if a != b and P.leq(b, a):
-                n = count_prime_power_factors(
-                    quotient_invariants(lattice.subgroups[a], lattice.subgroups[b])
-                )
-                via_pairs = max(via_pairs, n)
+                via_pairs = max(via_pairs, _factor_count(lattice, a, b))
     if via_minimal != via_pairs:
         raise DiscrepancyError(
             "the two formulations of dim([H]^O) disagree",
@@ -142,9 +132,9 @@ def _class_tops(lattice, family):
 
 
 def _factor_count(lattice, h, k):
-    """r(H/K): the number of prime-power cyclic factors of the quotient."""
-    subs = lattice.subgroups
-    return count_prime_power_factors(quotient_invariants(subs[h], subs[k]))
+    """r(H/K): the number of prime-power cyclic factors of the quotient, the
+    number of parts of its type."""
+    return sum(len(part) for _p, part in lattice.section_type(h, k))
 
 
 def gldim_of_family(lattice, family, counts):
@@ -290,13 +280,15 @@ def scan_frattini(G):
             )
     pair_stats = _literal_pair_scan(G)
     # frattini_realization raises unless its degree is the gldim
-    H, gldim = izext.frattini_realization(G)
+    _H, gldim = izext.frattini_realization(G)
+    # the witness subgroup is G itself, named from its primary type
+    name = groups.type_name(groups.primary_type_key(G.primary_type()))
     return {
         "schema": 1,
         "group": G.spec_string(),
         "eligible_sections": vanishing,
         "pair_scan": pair_stats,
-        "realization": {"subgroup": H.iso_name(), "degree": gldim},
+        "realization": {"subgroup": name, "degree": gldim},
         "gldim": gldim,
     }
 

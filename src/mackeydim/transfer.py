@@ -74,14 +74,19 @@ def _meet_table(lattice):
 
 
 class TransferSystem:
-    """Validated-by-construction family of arrows refining inclusion."""
+    """Validated-by-construction family of arrows refining inclusion.
 
-    __slots__ = ("lattice", "into", "_meets")
+    `validated` is set once validate() has passed on the system (close does
+    it), so require_disk_like does not repeat it.
+    """
+
+    __slots__ = ("lattice", "into", "_meets", "validated")
 
     def __init__(self, lattice, into, meets=None):
         self.lattice = lattice
         self.into = tuple(into)
         self._meets = meets
+        self.validated = False
 
     def meets(self):
         if self._meets is None:
@@ -191,6 +196,7 @@ def close(lattice, generator_pairs, meets=None):
     report = validate(system)
     if report is not None:
         raise TransferError(f"closure produced an invalid system: {report}")
+    system.validated = True
     return system
 
 
@@ -255,9 +261,11 @@ def system_of_family(lattice, family, meets):
 def require_disk_like(T):
     """Raise NotDiskLikeError unless T validates and is generated by its
     arrows into the full group."""
-    report = validate(T)
-    if report is not None:
-        raise NotDiskLikeError(f"system does not validate: {report.message}")
+    if not T.validated:
+        report = validate(T)
+        if report is not None:
+            raise NotDiskLikeError(f"system does not validate: {report.message}")
+        T.validated = True
     lat = T.lattice
     # into[top] of a valid system is meet-closed and holds top
     generated = system_of_family(lat, T.into[lat.top_index()], T.meets())

@@ -17,6 +17,8 @@ from itertools import permutations
 from mackeydim import groups, posets, qlinalg
 from mackeydim.groups import meet, primary_type_key, subgroup_from_columns
 
+from group_oracle import quotient_invariants
+
 
 def frattini_closed_form(H):
     """Phi(H) as the intersection of pH over the primes p dividing |G|."""
@@ -30,7 +32,7 @@ def frattini_closed_form(H):
 def quotient_type_key(H, K):
     """Primary-type key of H/K from its invariant factors; requires K <= H."""
     type_map = {}
-    for d in groups.quotient_invariants(H, K):
+    for d in quotient_invariants(H, K):
         for p, e in groups._factorize(d):
             type_map.setdefault(p, []).append(e)
     return primary_type_key(type_map)

@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mackeydim import izext, mackey, posets, qlinalg
+from mackeydim import izext, mackey, oracle, posets, qlinalg, transfer
 from mackeydim.cli import main
 
 from conftest import FIXTURES
@@ -114,6 +114,18 @@ class TestGldimIA:
         assert lines == [f"Error: {error}"]
         assert "Traceback" not in res.output
 
+    @pytest.mark.parametrize("text, error", [
+        ("elements: a b\ncover: a < c\n", "Error: line 2: unknown element 'c'"),
+        ("elements: a b\ncover: a < b\ncover: b < a\n", "Error: cover relation has a cycle"),
+    ], ids=["unknown-element", "cycle"])
+    def test_malformed_poset_file_exits_3(self, runner, tmp_path, text, error):
+        path = tmp_path / "bad.poset"
+        path.write_text(text)
+        res = runner.invoke(main, ["gldim-ia", "--poset", str(path)])
+        assert res.exit_code == 3
+        assert res.output.splitlines() == [error]
+        assert "Traceback" not in res.output
+
 
 class TestGldimMackey:
     def test_oprime2_fixture(self, runner):
@@ -190,6 +202,22 @@ class TestGldimMackey:
         gens.write_text("gen: C5 -> C6\n")
         res = runner.invoke(main, ["gldim-mackey", "--group", "C6", "--gens", str(gens)])
         assert res.exit_code == 3
+
+    def test_system_validated_once(self, runner, monkeypatch):
+        calls = []
+        real = transfer.validate
+
+        def counted(T):
+            calls.append(T)
+            return real(T)
+
+        monkeypatch.setattr(transfer, "validate", counted)
+        res = runner.invoke(
+            main,
+            ["gldim-mackey", "--group", "2^3*3^2", "--gens", str(FIXTURES / "oprime2.gen")],
+        )
+        assert res.exit_code == 0
+        assert len(calls) == 1
 
     def test_not_disk_like_exits_3(self, runner, tmp_path):
         gens = tmp_path / "c4.gen"
@@ -268,6 +296,16 @@ class TestOracleCheck:
             ],
         )
         assert res.exit_code == 4
+
+    def test_oracle_error_exits_3(self, runner, monkeypatch):
+        def fail(P):
+            raise oracle.OracleError("resolution did not terminate")
+
+        monkeypatch.setattr(oracle, "ext_table_oracle", fail)
+        res = runner.invoke(main, ["oracle-check", "--max-group-order", "2", "--samples", "0"])
+        assert res.exit_code == 3
+        assert res.output.splitlines() == ["Error: resolution did not terminate"]
+        assert "Traceback" not in res.output
 
     def test_random_poset_corpus(self, runner):
         res = runner.invoke(

@@ -11,22 +11,28 @@ from mackeydim.groups import (
     GroupError,
     ParseError,
     abelian_groups_of_order,
-    count_prime_power_factors,
     enumerate_subgroups,
     full_subgroup,
     group_from_primary_type,
     join,
     meet,
     parse_group,
-    quotient_invariants,
     section_type_keys,
-    subgroup_elements,
     subgroup_from_columns,
-    subgroup_from_elements,
     subgroup_lattice,
-    trivial_subgroup,
 )
 
+from group_oracle import (
+    contains_lattice,
+    count_prime_power_factors,
+    element_lattice,
+    iso_name,
+    quotient_invariants,
+    snf_labels,
+    subgroup_elements,
+    subgroup_from_elements,
+    trivial_subgroup,
+)
 from section_oracle import frattini_closed_form, quotient_type_key
 
 
@@ -114,6 +120,83 @@ class TestEnumeration:
             G = lat.group
             assert lat.top_index() == lat.index_of(full_subgroup(G)), G
             assert lat.bottom_index() == lat.index_of(trivial_subgroup(G)), G
+
+
+def _lattice_rows(lat):
+    return ([s.order for s in lat.subgroups], [s.cols for s in lat.subgroups],
+            list(lat.poset.labels), list(lat.poset.up))
+
+
+def _oracle_rows(G):
+    subs, labels, up = element_lattice(G)
+    return [s.order for s in subs], [s.cols for s in subs], labels, up
+
+
+PRODUCT_EXTRA_SPECS = ["C2xC2xC2xC2xC2", "C3xC3xC3xC3", "C2xC2xC4xC4", "C4xC12",
+                       "C16xC16", "C2xC2xC2xC3"]
+
+
+class TestProductLattice:
+    """Sub(G) as the product of the primary tables against the direct route:
+    every subgroup of G, an element mask each, n^2 mask tests, SNF labels."""
+
+    def test_matches_element_oracle_up_to_order_200(self):
+        corpus = [G for n in range(1, 201) for G in abelian_groups_of_order(n)]
+        corpus += [parse_group(spec) for spec in PRODUCT_EXTRA_SPECS]
+        over_budget = []
+        for G in corpus:
+            try:
+                lat = subgroup_lattice(G)
+            except BudgetExceededError:
+                with pytest.raises(BudgetExceededError):
+                    element_lattice(G)
+                over_budget.append(G.spec_string())
+                continue
+            assert _lattice_rows(lat) == _oracle_rows(G), G
+        assert over_budget == ["C2xC2xC2xC2xC2xC2xC2"]
+
+    @pytest.mark.parametrize("spec", ["C2xC4096", "C2xC4096xC3", "C8xC1024"])
+    def test_hnf_route_matches_contains(self, spec):
+        # the 2-part has more than 4096 elements, so its table is ordered by
+        # HNF membership; the oracle is Subgroup.contains on all of G
+        G = parse_group(spec)
+        lat = subgroup_lattice(G)
+        subs = sorted(enumerate_subgroups(G), key=groups.Subgroup.sort_key)
+        assert [s.cols for s in lat.subgroups] == [s.cols for s in subs]
+        assert list(lat.poset.up) == contains_lattice(subs), spec
+        assert list(lat.poset.labels) == snf_labels(subs), spec
+
+    def test_two_table_routes_agree(self):
+        # element sets and HNF membership give the same up-masks on every
+        # primary part of the corpus with at most 700 subgroups
+        parts = {(p, tuple(sorted(part)))
+                 for n in range(2, 201) for G in abelian_groups_of_order(n)
+                 for p, part in G.primary_type().items()}
+        checked = 0
+        for p, exps in sorted(parts):
+            blocks = groups._prime_block_bases(p, exps)
+            if len(blocks) > 700:
+                continue
+            sizes = groups._PrimeTable(p, exps, blocks).sizes
+            moduli = [p**e for e in exps]
+            assert groups._element_up_masks(moduli, blocks) == \
+                groups._span_up_masks(sizes, blocks), (p, exps)
+            checked += 1
+        assert checked > 90
+
+    def test_budget_checked_before_any_table(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(groups, "_PrimeTable", lambda *args: built.append(args))
+        G = AbelianGroup([(2, 1)] * 7)
+        with pytest.raises(BudgetExceededError) as info:
+            subgroup_lattice(G, max_count=3000)
+        assert built == [] and info.value.found == 29212
+
+    def test_type_names(self):
+        assert groups.type_name(()) == "C1"
+        assert groups.type_name(((2, (1, 1)), (3, (1,)))) == "C2xC6"
+        assert groups.type_name(((2, (2,)), (3, (1,)))) == "C12"
+        assert groups.type_name(((2, (3, 1)), (5, (1, 1)))) == "C10xC40"
 
 
 class TestCanonicality:
@@ -284,7 +367,7 @@ class TestFrattini:
     def test_subgroup_level_wrapper(self, lattice_cache):
         lat = lattice_cache("C12")
         c4 = lat.subgroups[lat.index_of_label("C4")]
-        assert lat.frattini_subgroup(c4).iso_name() == "C2"
+        assert iso_name(lat.frattini_subgroup(c4)) == "C2"
 
     def test_closed_form_agreement(self):
         for n in [4, 8, 12, 16, 24, 36, 48, 60, 72, 100, 144, 196, 200]:

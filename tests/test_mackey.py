@@ -20,6 +20,8 @@ from mackeydim.transfer import (
     inseparability_classes,
 )
 
+from group_oracle import count_prime_power_factors, quotient_invariants
+
 
 def complete_system(lat):
     top = lat.top_index()
@@ -65,6 +67,19 @@ class TestClassDim:
         part = inseparability_classes(complete_system(lat))
         for rep in part.representatives:
             assert class_dim(part, rep) == 0
+
+
+class TestFactorCount:
+    def test_matches_smith_form(self, lattice_cache):
+        # r(H/K) read off the section type against one SNF per pair
+        for spec in ["C12", "C2xC4xC3", "C2xC2xC2xC3", "C4xC12", "C3xC9", "C2xC2xC4"]:
+            lat = lattice_cache(spec)
+            subs = lat.subgroups
+            for h in range(lat.n):
+                for k in range(lat.n):
+                    if lat.leq(k, h):
+                        want = count_prime_power_factors(quotient_invariants(subs[h], subs[k]))
+                        assert mackey._factor_count(lat, h, k) == want, (spec, h, k)
 
 
 class TestGldimMackey:

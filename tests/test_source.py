@@ -88,6 +88,18 @@ def test_section_types_are_read_off_the_lattice():
         assert not found, (name, found)
 
 
+def test_no_smith_forms_or_element_sets_in_src():
+    # labels, types and r(H/K) come from the primary tables; the SNF and
+    # element-set routes are test oracles (tests/group_oracle.py)
+    banned = {"quotient_invariants", "smith_normal_form", "subgroup_elements", "iso_name"}
+    found = [
+        f"{path.name} {name}"
+        for path in SOURCES
+        for name in sorted(_calls(ast.parse(path.read_text(), filename=str(path))) & banned)
+    ]
+    assert SOURCES and not found, found
+
+
 def test_runs_without_numpy():
     # numpy is not a dependency: block its import and run a CLI command
     script = (

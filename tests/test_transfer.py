@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from mackeydim import groups, transfer
-from mackeydim.groups import BudgetExceededError, group_elements, subgroup_elements
+from mackeydim.groups import BudgetExceededError
 from mackeydim.posets import FinitePoset
 from mackeydim.transfer import (
     NotDiskLikeError,
@@ -17,6 +17,8 @@ from mackeydim.transfer import (
     require_disk_like,
     validate,
 )
+
+from group_oracle import group_elements, subgroup_elements
 
 
 def complete_system(lat):
