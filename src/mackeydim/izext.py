@@ -107,23 +107,28 @@ def gldim_incidence(P, reduce=True):
     return best
 
 
-def _table(size, dims):
-    return {
-        (x, y, n): dim
-        for x in range(size)
-        for y in range(size)
-        for n, dim in sorted(dims(x, y).items())
-    }
+def _table(P, dims):
+    # Ext^*(S_x, S_y) vanishes unless y <= x, so only the bits of down[x] are
+    # walked, in ascending order as a walk over all y would meet them
+    table = {}
+    for x in range(P.n):
+        m = P.down[x]
+        while m:
+            y = (m & -m).bit_length() - 1
+            m &= m - 1
+            for n, dim in sorted(dims(x, y).items()):
+                table[(x, y, n)] = dim
+    return table
 
 
 def ext_table(P, reduce=True):
     """All nonzero Ext entries of IA(P) as a dict (x, y, n) -> dim."""
-    return _table(P.n, lambda x, y: ext_dims(P, x, y, reduce=reduce))
+    return _table(P, lambda x, y: ext_dims(P, x, y, reduce=reduce))
 
 
 def ext_table_section(lattice):
     """ext_table of IA(Sub_G) through the section types (abelian G)."""
-    return _table(lattice.n, lambda x, y: ext_dims_section(lattice, x, y))
+    return _table(lattice.poset, lambda x, y: ext_dims_section(lattice, x, y))
 
 
 def ext_table_json(P, entries=None):

@@ -122,7 +122,8 @@ class _Resolution:
         P = self.P
         omega = {}
         for z in self.down:
-            cols = [t for t, (y, _v) in enumerate(summands) if P.leq(z, y)]
+            up_z = P.up[z]
+            cols = [t for t, (y, _v) in enumerate(summands) if up_z >> y & 1]
             if not cols:
                 if prev_omega[z]:
                     raise OracleError("cover misses an element with nonzero syzygy")

@@ -14,7 +14,6 @@ __all__ = [
     "OrderComplex",
     "open_interval",
     "closed_interval",
-    "height",
     "order_complex",
     "product",
     "dismantle",
@@ -212,9 +211,6 @@ class OrderComplex:
     def empty(self):
         return not self.simplices_by_dim
 
-    def dimension(self):
-        return len(self.simplices_by_dim) - 1
-
     def total_simplices(self):
         return sum(len(level) for level in self.simplices_by_dim)
 
@@ -275,10 +271,6 @@ def closed_interval(P, x, y):
         m &= m - 1
         indices.append(j)
     return P.restrict(indices)
-
-
-def height(P):
-    return P.height()
 
 
 def product(P, Q, label_sep="|"):
@@ -426,7 +418,8 @@ def parse_poset_text(text):
             if labels is not None:
                 raise PosetError(f"line {lineno}: repeated elements line")
             labels = line[len("elements:") :].split()
-            if len(set(labels)) != len(labels):
+            idx = {lab: k for k, lab in enumerate(labels)}
+            if len(idx) != len(labels):
                 raise PosetError(f"line {lineno}: duplicate labels")
         elif line.startswith("cover:"):
             if labels is None:
@@ -435,7 +428,6 @@ def parse_poset_text(text):
             parts = [p.strip() for p in body.split("<")]
             if len(parts) != 2 or not all(parts):
                 raise PosetError(f"line {lineno}: expected `cover: a < b`")
-            idx = {lab: k for k, lab in enumerate(labels)}
             for p in parts:
                 if p not in idx:
                     raise PosetError(f"line {lineno}: unknown element {p!r}")

@@ -133,11 +133,15 @@ class IntEchelon:
     replaces the pivot by the gcd combination.  Every step is unimodular, so
     the pivots together with the rows reduced to zero span the same
     Z-lattice as the rows added.  Pivots are size-reduced before each use,
-    which keeps entries small on dense input.
+    which keeps entries small on dense input.  A pivot whose entries are all
+    +-1 is never size-reduced: `_size_reduce` only acts on larger entries,
+    so skipping it changes nothing.  Every pivot is stored through `_keep`,
+    which records whether it holds such an entry.
     """
 
     def __init__(self):
         self.rows = {}
+        self._big = set()  # leads of pivots holding an entry beyond +-1
 
     def reduce(self, row):
         """Reduce `row` in place; return its leading column, None if zero.
@@ -149,7 +153,8 @@ class IntEchelon:
             piv = self.rows.get(lead)
             if piv is None:
                 return lead
-            self._size_reduce(piv, lead)
+            if lead in self._big:
+                self._size_reduce(piv, lead)
             a, b = piv[lead], row[lead]
             if b % a == 0:
                 _axpy(row, -(b // a), piv)
@@ -160,8 +165,16 @@ class IntEchelon:
                 for c in row:
                     row[c] *= a // g
                 _axpy(row, -(b // g), piv)
-                self.rows[lead] = new_piv
+                self._keep(lead, new_piv)
         return None
+
+    def _keep(self, lead, row):
+        """Store `row` as the pivot at `lead`, noting entries beyond +-1."""
+        self.rows[lead] = row
+        if max(row.values()) > 1 or min(row.values()) < -1:
+            self._big.add(lead)
+        else:
+            self._big.discard(lead)
 
     def _size_reduce(self, piv, lead):
         """Size-reduce `piv` at the pivot columns past `lead`, in place.
@@ -191,7 +204,7 @@ class IntEchelon:
         lead = self.reduce(row)
         if lead is None:
             return False
-        self.rows[lead] = row
+        self._keep(lead, row)
         return True
 
     def rank(self):
@@ -365,7 +378,7 @@ def kernel_basis_sparse(columns, height):
         row[height + j] = 1
         lead = ech.reduce(row)
         if lead < height:
-            ech.rows[lead] = row
+            ech._keep(lead, row)
         else:
             kernel.append({c - height: v for c, v in row.items()})
     return kernel
@@ -421,43 +434,44 @@ def _complex_data(simplices_by_dim):
     return boundaries
 
 
-def _coboundary_rows(simplices_by_dim, d):
-    """Sparse coboundary matrix C^d -> C^{d+1}: one {face: sign} per (d+1)-simplex.
+def _coboundary_row(tau, face_index):
+    """Coboundary row {face: sign} of the simplex `tau`, alternating signs."""
+    row = {}
+    sign = 1
+    for i in range(len(tau)):
+        row[face_index[tau[:i] + tau[i + 1 :]]] = sign
+        sign = -sign
+    return row
 
-    Standard alternating-sign face incidence; simplices are taken in the
-    (lexicographic) order they are stored in.
+
+def _coboundary_ranks(simplices_by_dim):
+    """Exact ranks {d: rank of delta^d}, d = -1 to the top, of a non-empty complex.
+
+    The ranks are taken from the top degree down, and the rank of the
+    coboundary delta^d skips the row of every (d+1)-simplex that leads a pivot
+    of the echelon of delta^{d+1}; those rows are never built (Chen-Kerber,
+    "Persistent homology computation with a twist", 2011).  The rank over Q
+    is unchanged.  A pivot row with lead i is an integer combination of rows
+    of delta^{d+1}, that is, a boundary c = a*s_i + sum_{k>i} c_k s_k of
+    (d+1)-simplices with a != 0, so its boundary vanishes and the boundary of
+    s_i lies in the Q-span of the boundaries of the s_k with k > i.  By
+    induction downward from the largest index, the row of every skipped s_i
+    lies in the span of the rows kept.
     """
-    if d + 1 >= len(simplices_by_dim):
-        return []
-    face_index = {s: i for i, s in enumerate(simplices_by_dim[d])}
-    rows = []
-    for tau in simplices_by_dim[d + 1]:
-        row = {}
-        sign = 1
-        for i in range(len(tau)):
-            row[face_index[tau[:i] + tau[i + 1 :]]] = sign
-            sign = -sign
-        rows.append(row)
-    return rows
-
-
-def _cohomology_exact(simplices_by_dim):
-    """Reduced cohomology dims from exact coboundary ranks."""
-    dims = len(simplices_by_dim)
-    counts = [len(simplices_by_dim[d]) for d in range(dims)]
-    # rank of d^{-1}: C^{-1}=Q -> C^0 is 1 whenever the complex is non-empty
-    ranks = {-1: 1 if counts and counts[0] else 0}
-    for d in range(dims):
+    top = len(simplices_by_dim) - 1
+    # delta^{-1}: Q -> C^0 has rank 1 on a non-empty complex
+    ranks = {-1: 1, top: 0}
+    cleared = {}
+    for d in range(top - 1, -1, -1):
+        face_index = {s: i for i, s in enumerate(simplices_by_dim[d])}
         ech = IntEchelon()
-        for row in _coboundary_rows(simplices_by_dim, d):
-            ech.add(row)
+        for k, tau in enumerate(simplices_by_dim[d + 1]):
+            if k not in cleared:
+                ech.add(_coboundary_row(tau, face_index))
         ranks[d] = ech.rank()
-    out = {}
-    for d in range(dims):
-        betti = counts[d] - ranks[d] - ranks[d - 1]
-        if betti:
-            out[d] = betti
-    return out
+        cleared = ech.rows
+    return ranks
+
 
 def reduced_cohomology_dims(complex_or_simplices):
     """Dimensions of reduced simplicial cohomology over Q, by degree.
@@ -472,7 +486,13 @@ def reduced_cohomology_dims(complex_or_simplices):
         simp.pop()
     if not simp:
         return {-1: 1}
-    return _cohomology_exact(simp)
+    ranks = _coboundary_ranks(simp)
+    out = {}
+    for d, level in enumerate(simp):
+        betti = len(level) - ranks[d] - ranks[d - 1]
+        if betti:
+            out[d] = betti
+    return out
 
 
 def reduced_homology_dims(complex_or_simplices):

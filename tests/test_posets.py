@@ -6,7 +6,6 @@ from mackeydim.posets import (
     PosetError,
     dismantle,
     hasse_dot,
-    height,
     open_interval,
     order_complex,
     parse_poset_text,
@@ -80,21 +79,21 @@ class TestInterval:
 
 class TestHeight:
     def test_chain_height(self, lattice_cache):
-        assert height(lattice_cache("C8").poset) == 3
-        assert height(lattice_cache("C4").poset) == 2
+        assert lattice_cache("C8").poset.height() == 3
+        assert lattice_cache("C4").poset.height() == 2
 
     def test_discrete(self):
         P = FinitePoset.from_covers(list("abcde"), [])
-        assert height(P) == 0
+        assert P.height() == 0
 
     def test_c6(self, lattice_cache):
-        assert height(lattice_cache("C6").poset) == 2
+        assert lattice_cache("C6").poset.height() == 2
 
     def test_product_additivity(self, rng):
         for _ in range(10):
             P = random_poset(rng.randint(1, 5), rng)
             Q = random_poset(rng.randint(1, 5), rng)
-            assert height(product(P, Q)) == height(P) + height(Q)
+            assert product(P, Q).height() == P.height() + Q.height()
 
 
 class TestOrderComplex:

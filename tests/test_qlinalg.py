@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mackeydim import posets, qlinalg
+from mackeydim import izext, posets, qlinalg
 from mackeydim.qlinalg import (
     bareiss_rank,
     euler_characteristic_reduced,
@@ -143,6 +143,56 @@ def _complex_of(P):
     return posets.order_complex(P)
 
 
+def coboundary_rows(simplices_by_dim, d):
+    """Sparse coboundary matrix C^d -> C^{d+1}: one {face: sign} per (d+1)-simplex."""
+    if d + 1 >= len(simplices_by_dim):
+        return []
+    face_index = {s: i for i, s in enumerate(simplices_by_dim[d])}
+    return [qlinalg._coboundary_row(tau, face_index) for tau in simplices_by_dim[d + 1]]
+
+
+def uncleared_coboundary_ranks(simplices_by_dim):
+    """Coboundary ranks with every row of every degree eliminated (oracle).
+
+    The route `qlinalg._coboundary_ranks` took before clearing: each
+    delta^d is ranked on its own, bottom up, with no row skipped.
+    """
+    ranks = {-1: 1 if simplices_by_dim and simplices_by_dim[0] else 0}
+    for d in range(len(simplices_by_dim)):
+        ech = qlinalg.IntEchelon()
+        for row in coboundary_rows(simplices_by_dim, d):
+            ech.add(row)
+        ranks[d] = ech.rank()
+    return ranks
+
+
+class _EveryLead:
+    """Stands in for IntEchelon._big so that every pivot is size-reduced."""
+
+    def __contains__(self, lead):
+        return True
+
+    def add(self, lead):
+        pass
+
+    def discard(self, lead):
+        pass
+
+
+class _AlwaysSizeReduced(qlinalg.IntEchelon):
+    """IntEchelon that size-reduces every pivot before use, as it once did."""
+
+    def __init__(self):
+        super().__init__()
+        self._big = _EveryLead()
+
+
+def _assert_clearing_agrees(cx):
+    simp = cx.simplices_by_dim
+    if simp:
+        assert qlinalg._coboundary_ranks(simp) == uncleared_coboundary_ranks(simp)
+
+
 class TestCohomology:
     def test_empty_complex_convention(self):
         assert reduced_cohomology_dims([[]]) == {-1: 1}
@@ -184,6 +234,7 @@ class TestCohomology:
             P = random_poset(rng.randint(1, 7), rng)
             cx = _complex_of(P)
             assert reduced_cohomology_dims(cx) == reduced_homology_dims(cx)
+            _assert_clearing_agrees(cx)
 
     def test_euler_characteristic(self, rng):
         for _ in range(25):
@@ -223,6 +274,7 @@ class TestCohomology:
         cx = posets.order_complex(face_poset)
         assert reduced_cohomology_dims(cx) == {}
         assert reduced_homology_dims(cx) == {}
+        _assert_clearing_agrees(cx)
 
     def test_rank_nullity_relation(self):
         # dim C^n = rank(d^n) + nullity(d^n) on a fixed small complex
@@ -231,7 +283,7 @@ class TestCohomology:
         )
         cx = _complex_of(P)
         for d in range(len(cx.simplices_by_dim)):
-            rows = qlinalg._coboundary_rows(cx.simplices_by_dim, d)
+            rows = coboundary_rows(cx.simplices_by_dim, d)
             n_d = len(cx.simplices_by_dim[d])
             if rows:
                 dense = [[row.get(j, 0) for j in range(n_d)] for row in rows]
@@ -240,3 +292,104 @@ class TestCohomology:
                 assert r == bareiss_rank(dense)
                 assert r + nullity == n_d
 
+
+class TestClearing:
+    """The cleared coboundary ranks against the uncleared loop and Bareiss.
+
+    Random posets and the torsion surface are checked in TestCohomology.
+    """
+
+    # Bareiss is dense; the one larger interval (the whole proper part of
+    # Sub(C2xC2xC2xC3xC3), 3067 simplices) is checked by the closed form
+    BAREISS_MAX_SIMPLICES = 2000
+
+    @pytest.mark.parametrize("spec", ["C2xC2xC2xC2", "C2xC2xC2xC3xC3"])
+    def test_every_open_interval_of_subgroup_lattice(self, spec, lattice_cache):
+        lat = lattice_cache(spec)
+        P = posets.parse_poset_text(posets.poset_to_text(lat.poset))
+        checked = 0
+        for x in range(P.n):
+            for y in range(P.n):
+                if not P.lt(y, x):
+                    continue
+                cx = _complex_of(posets.open_interval(P, x, y))
+                _assert_clearing_agrees(cx)
+                dims = reduced_cohomology_dims(cx)
+                assert dims == izext.prop_cohomology_of_type(lat.section_type(x, y))
+                if cx.total_simplices() <= self.BAREISS_MAX_SIMPLICES:
+                    assert dims == reduced_homology_dims(cx)
+                checked += 1
+        assert checked == {"C2xC2xC2xC2": 446, "C2xC2xC2xC3xC3": 894}[spec]
+
+    def test_clearing_skips_rows(self, lattice_cache, monkeypatch):
+        # the proper part of Sub(C2^4) has 65 vertices, 315 edges and 315
+        # triangles; delta^1 has a row per triangle and clears the 251 edges
+        # leading its pivots, so delta^0 builds 64 of its 315 edge rows
+        lat = lattice_cache("C2xC2xC2xC2")
+        cx = _complex_of(
+            posets.open_interval(lat.poset, lat.top_index(), lat.bottom_index())
+        )
+        built = [0]
+        original = qlinalg._coboundary_row
+
+        def counting(tau, face_index):
+            built[0] += 1
+            return original(tau, face_index)
+
+        monkeypatch.setattr(qlinalg, "_coboundary_row", counting)
+        ranks = qlinalg._coboundary_ranks(cx.simplices_by_dim)
+        assert ranks == {-1: 1, 0: 64, 1: 251, 2: 0}
+        assert built[0] == 315 + 64
+        assert reduced_cohomology_dims(cx) == {2: 64}
+
+
+class TestUnitPivots:
+    """Skipping the size reduction of +-1 pivots leaves every pivot unchanged."""
+
+    @staticmethod
+    def _count_xgcd(monkeypatch):
+        calls = [0]
+        original = qlinalg._xgcd
+
+        def counting(a, b):
+            calls[0] += 1
+            return original(a, b)
+
+        monkeypatch.setattr(qlinalg, "_xgcd", counting)
+        return calls
+
+    def test_rows_identical_on_dense_matrices(self, rng, monkeypatch):
+        xgcd_calls = self._count_xgcd(monkeypatch)
+        for _ in range(300):
+            m, n, e = rng.randint(1, 8), rng.randint(1, 8), rng.choice((2, 3, 9))
+            rows = [[rng.randint(-e, e) for _ in range(n)] for _ in range(m)]
+            ech, ref = qlinalg.IntEchelon(), _AlwaysSizeReduced()
+            for r in rows:
+                sparse = {j: v for j, v in enumerate(r) if v}
+                assert ech.add(dict(sparse)) == ref.add(dict(sparse))
+                assert ech.rows == ref.rows
+        assert xgcd_calls[0] > 0
+
+    def test_kernels_identical_on_dense_matrices(self, rng, monkeypatch):
+        xgcd_calls = self._count_xgcd(monkeypatch)
+        cases = []
+        for _ in range(150):
+            m, n, e = rng.randint(1, 6), rng.randint(1, 8), rng.choice((2, 3, 9))
+            cases.append([[rng.randint(-e, e) for _ in range(n)] for _ in range(m)])
+        fast = [kernel_basis_int(rows) for rows in cases]
+        assert xgcd_calls[0] > 0
+        monkeypatch.setattr(qlinalg, "IntEchelon", _AlwaysSizeReduced)
+        assert [kernel_basis_int(rows) for rows in cases] == fast
+
+    def test_unit_pivots_are_never_marked(self, lattice_cache):
+        # every coboundary row holds only +-1, and on this complex every
+        # pivot stays so; none is marked, so none is ever size-reduced
+        lat = lattice_cache("C2xC2xC2xC2")
+        cx = _complex_of(
+            posets.open_interval(lat.poset, lat.top_index(), lat.bottom_index())
+        )
+        ech = qlinalg.IntEchelon()
+        for row in coboundary_rows(cx.simplices_by_dim, 1):
+            ech.add(row)
+        assert ech.rank() == 251
+        assert not ech._big
