@@ -15,7 +15,8 @@ SubgroupLattice.section_type).
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import prod
 from operator import add, mod
 
 from . import qlinalg
@@ -330,15 +331,47 @@ def _subspace_echelon_bases(p, m):
     return out
 
 
-def _gaussian_subspace_count(p, m):
+def _sub_partitions(part):
+    """The partitions mu contained in part: the descending nonzero entries
+    of the vectors c with 0 <= c_i <= part_i."""
+    from itertools import product as iproduct
+
+    return {tuple(sorted(filter(None, c), reverse=True))
+            for c in iproduct(*[range(e + 1) for e in part])}
+
+
+def _conjugate(part, length):
+    """The conjugate partition, padded with zeros to the given length."""
+    return [sum(1 for e in part if e > t) for t in range(length)]
+
+
+def _gaussian_binomial(n, k, p):
+    num = den = 1
+    for i in range(k):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _subgroup_count(p, exps):
+    """Number of subgroups of the abelian p-group prod C_{p^e}, e in exps.
+
+    A group of type lambda has alpha_lambda(mu; p) subgroups of type mu for
+    each mu contained in lambda, and with the conjugates lambda', mu'
+    alpha_lambda(mu; p) = prod_i p^{mu'_{i+1} (lambda'_i - mu'_i)}
+    [lambda'_i - mu'_{i+1}, mu'_i - mu'_{i+1}]_p (Butler, Subgroup lattices
+    and symmetric functions, Mem. AMS 539, 1994), so no block is built.
+    """
+    length = max(exps, default=0)
+    lam = _conjugate(exps, length)
     total = 0
-    for d in range(m + 1):
-        num = 1
-        den = 1
-        for i in range(d):
-            num *= p**m - p**i
-            den *= p**d - p**i
-        total += num // den
+    for mu in _sub_partitions(exps):
+        nu = _conjugate(mu, length + 1)
+        term = 1
+        for i, li in enumerate(lam):
+            term *= p ** (nu[i + 1] * (li - nu[i])) * _gaussian_binomial(
+                li - nu[i + 1], nu[i] - nu[i + 1], p)
+        total += term
     return total
 
 
@@ -349,9 +382,12 @@ def _block_order(moduli, block):
     return order
 
 
-def _lattice_sorted(moduli, blocks):
+def _lattice_sorted(moduli, blocks, count):
     """Blocks sorted as Subgroup.sort_key sorts subgroups: by order, then
-    row-major basis."""
+    row-major basis.  They must be `count` distinct blocks."""
+    blocks = set(blocks)
+    if len(blocks) != count:
+        raise GroupError("block count differs from the closed-form subgroup count")
     m = len(moduli)
 
     def key(block):
@@ -385,9 +421,7 @@ def _prime_block_bases(p, exps):
                 cols.append(e_i)
             basis = qlinalg.hnf_columns(cols, m)
             blocks.append(tuple(tuple(c) for c in basis))
-        if not len(set(blocks)) == len(blocks) == _gaussian_subspace_count(p, m):
-            raise GroupError("subspace count differs from the Gaussian binomial")
-        return _lattice_sorted(moduli, blocks)
+        return _lattice_sorted(moduli, blocks, _subgroup_count(p, exps))
 
     # general case: recursive column-wise enumeration with exact pruning;
     # column j is chosen after columns > j, and N_j e_j must already lie in
@@ -430,14 +464,15 @@ def _prime_block_bases(p, exps):
 
     for diag in iproduct(*divisor_choices):
         build(m - 1, list(diag), [])
-    return _lattice_sorted(moduli, set(results))
+    return _lattice_sorted(moduli, results, _subgroup_count(p, exps))
 
 
 def _primary_parts(G, max_order, max_count):
     """(p, ascending exponents, blocks) per prime of G, primes ascending.
 
-    The subgroup count is the product of the block counts, so both budgets
-    are checked before any subgroup or table is built.
+    The subgroup count is the product of the primary parts' counts, which
+    _subgroup_count gives in closed form, so both budgets are checked before
+    any block, subgroup or table is built.
     """
     if G.order > max_order:
         raise BudgetExceededError(
@@ -446,17 +481,16 @@ def _primary_parts(G, max_order, max_count):
     ptype = {}
     for p, e in G.factors:
         ptype.setdefault(p, []).append(e)
-    parts = [(p, tuple(es), _prime_block_bases(p, tuple(es))) for p, es in sorted(ptype.items())]
     count = 1
-    for _p, _exps, blocks in parts:
-        count *= len(blocks)
+    for p, es in ptype.items():
+        count *= _subgroup_count(p, es)
     if max_count is not None and count > max_count:
         raise BudgetExceededError(f"subgroup count exceeds {max_count}", found=count)
-    return parts
+    return [(p, tuple(es), _prime_block_bases(p, tuple(es))) for p, es in sorted(ptype.items())]
 
 
-def _product(G, parts):
-    """Subgroups of G and their per-prime block indices, in lattice order.
+def _lattice_order(parts):
+    """(order, per-prime block indices) of every subgroup, in lattice order.
 
     G's factors are sorted by prime, so a subgroup's basis is block diagonal
     and its row-major flattening lists the primes' blocks in turn.  At a
@@ -474,22 +508,25 @@ def _product(G, parts):
             order *= o[c]
         keyed.append((order, comps))
     keyed.sort()
+    return keyed
+
+
+def _subgroup(G, parts, order, comps):
+    """The subgroup of G whose p-component is block comps[i] of prime i."""
     k = G.k
-    subs = []
-    for order, comps in keyed:
-        cols = [[0] * k for _ in range(k)]
-        offset = 0
-        for (_p, exps, blocks), c in zip(parts, comps):
-            for j, col in enumerate(blocks[c]):
-                cols[offset + j][offset:offset + len(exps)] = col
-            offset += len(exps)
-        subs.append(Subgroup(G, tuple(tuple(c) for c in cols), order))
-    return subs, [comps for _order, comps in keyed]
+    cols = [[0] * k for _ in range(k)]
+    offset = 0
+    for (_p, exps, blocks), c in zip(parts, comps):
+        for j, col in enumerate(blocks[c]):
+            cols[offset + j][offset:offset + len(exps)] = col
+        offset += len(exps)
+    return Subgroup(G, tuple(tuple(c) for c in cols), order)
 
 
 def enumerate_subgroups(G, max_order=100000, max_count=None):
     """All subgroups of G, sorted by (order, row-major basis)."""
-    return _product(G, _primary_parts(G, max_order, max_count))[0]
+    parts = _primary_parts(G, max_order, max_count)
+    return [_subgroup(G, parts, order, comps) for order, comps in _lattice_order(parts)]
 
 
 # Up to this many elements a primary part's inclusion order comes from
@@ -549,12 +586,12 @@ class _PrimeTable:
     """Sub(P) for one primary part P = prod_j C_{p^e_j} of G.
 
     Block i is the i-th subgroup of P in lattice order, so a p-group's
-    lattice is its table.  sizes[i] is log_p of its order, up[i] the mask of
-    the blocks containing it, phi[i] its Frattini subgroup and types[i] its
-    type, a descending partition.
+    lattice is its table.  sizes[i] is log_p of its order, up[i] and down[i]
+    the masks of the blocks containing it and contained in it, phi[i] its
+    Frattini subgroup and types[i] its type, a descending partition.
     """
 
-    __slots__ = ("p", "sizes", "up", "phi", "types")
+    __slots__ = ("p", "sizes", "up", "down", "phi", "types")
 
     def __init__(self, p, exps, blocks):
         moduli = [p**e for e in exps]
@@ -568,7 +605,7 @@ class _PrimeTable:
             self.up = up = _element_up_masks(moduli, blocks)
         else:
             self.up = up = _span_up_masks(sizes, blocks)
-        down = [0] * n
+        self.down = down = [0] * n
         for i, row in enumerate(up):
             while row:
                 j = (row & -row).bit_length() - 1
@@ -589,6 +626,12 @@ class _PrimeTable:
                 acc &= down[j]
             phi.append(acc.bit_length() - 1)
         self.types = [self.section_type(h, 0) for h in range(n)]
+
+    def pair_counts(self):
+        """(pairs k <= h, pairs phi[h] <= k <= h) of blocks."""
+        down, up, phi = self.down, self.up, self.phi
+        return (sum(row.bit_count() for row in down),
+                sum((row & up[f]).bit_count() for row, f in zip(down, phi)))
 
     def section_type(self, h, k):
         """Partition of H/K for blocks k <= h.
@@ -617,22 +660,73 @@ class _PrimeTable:
 class SubgroupLattice:
     """Subgroups of G with the inclusion poset and label bookkeeping.
 
-    comps[i] lists subgroup i's block index in each primary table.
+    Sub(G) is the product of the primary tables, which are built with the
+    lattice.  Everything else is read off them on first use, so a caller
+    that needs only the tables (pair_counts) builds no subgroup, mask or
+    label.  _comps[i] lists subgroup i's block index in each primary table.
     """
 
-    def __init__(self, group, subgroups, poset, tables, comps):
+    def __init__(self, group, parts):
         self.group = group
-        self.subgroups = subgroups
-        self.poset = poset
-        self._tables = tables
-        self._comps = comps
-        self._by_cols = {s.cols: i for i, s in enumerate(subgroups)}
-        self._by_label = {lab: i for i, lab in enumerate(poset.labels)}
-        self._phi = None  # built on the first frattini call
+        self._parts = parts
+        self._tables = [_PrimeTable(p, exps, blocks) for p, exps, blocks in parts]
+        self.n = prod(len(t.sizes) for t in self._tables)
 
-    @property
-    def n(self):
-        return len(self.subgroups)
+    @cached_property
+    def _keyed(self):
+        return _lattice_order(self._parts)
+
+    @cached_property
+    def _comps(self):
+        return [comps for _order, comps in self._keyed]
+
+    @cached_property
+    def subgroups(self):
+        return [_subgroup(self.group, self._parts, order, comps)
+                for order, comps in self._keyed]
+
+    @cached_property
+    def poset(self):
+        """The inclusion order: for each prime p, U_p[c] is the mask of the
+        subgroups whose p-component lies above block c, and the up-set of a
+        subgroup is the AND over p of U_p at its p-component."""
+        n = self.n
+        tables, comps = self._tables, self._comps
+        if len(tables) == 1:
+            up = tables[0].up  # a p-group's lattice is its table
+        else:
+            up = [(1 << n) - 1] * n
+            for pos, t in enumerate(tables):
+                at = [0] * len(t.up)
+                for g, c in enumerate(comps):
+                    at[c[pos]] |= 1 << g
+                above = []
+                for row in t.up:
+                    acc = 0
+                    while row:
+                        c = (row & -row).bit_length() - 1
+                        row &= row - 1
+                        acc |= at[c]
+                    above.append(acc)
+                up = [row & above[c[pos]] for row, c in zip(up, comps)]
+        keys = [_component_type(tables, c) for c in comps]
+        names = {key: type_name(key) for key in set(keys)}
+        labels = _make_labels([names[key] for key in keys])
+        return FinitePoset(n, labels, up, validate=False)
+
+    @cached_property
+    def _by_cols(self):
+        return {s.cols: i for i, s in enumerate(self.subgroups)}
+
+    @cached_property
+    def _by_label(self):
+        return {lab: i for i, lab in enumerate(self.poset.labels)}
+
+    @cached_property
+    def _phi(self):
+        index = {comps: j for j, comps in enumerate(self._comps)}
+        return [index[tuple(t.phi[c] for t, c in zip(self._tables, comps))]
+                for comps in self._comps]
 
     def index_of(self, sub):
         try:
@@ -665,14 +759,22 @@ class SubgroupLattice:
 
     def frattini(self, i):
         """Phi of subgroup i: the product of the Frattini subgroups of its
-        primary components.  The table is built on the first call."""
-        if self._phi is None:
-            index = {comps: j for j, comps in enumerate(self._comps)}
-            self._phi = [
-                index[tuple(t.phi[c] for t, c in zip(self._tables, comps))]
-                for comps in self._comps
-            ]
+        primary components."""
         return self._phi[i]
+
+    def pair_counts(self):
+        """(pairs K <= H, pairs Phi(H) <= K <= H) of subgroups of G.
+
+        Sub(G) is the product of the primary lattices and Phi(H) the product
+        of the Frattini subgroups of H's primary components, so each count is
+        the product over the primary tables of the same count there.
+        """
+        comparable = frattini = 1
+        for t in self._tables:
+            a, e = t.pair_counts()
+            comparable *= a
+            frattini *= e
+        return comparable, frattini
 
     def subgroup_type(self, i):
         """Primary-type key of subgroup i, off the primary tables."""
@@ -719,38 +821,8 @@ def _make_labels(names):
 
 
 def subgroup_lattice(G, max_order=100000, max_count=6000):
-    """All subgroups plus the inclusion poset, deterministically ordered.
-
-    Sub(G) is the product of the primary tables: for each prime p, U_p[c]
-    is the mask of the subgroups whose p-component lies above block c, and
-    the up-set of a subgroup is the AND over p of U_p at its p-component.
-    """
-    parts = _primary_parts(G, max_order, max_count)
-    tables = [_PrimeTable(p, exps, blocks) for p, exps, blocks in parts]
-    subs, comps = _product(G, parts)
-    n = len(subs)
-    if len(tables) == 1:
-        up = tables[0].up  # a p-group's lattice is its table
-    else:
-        up = [(1 << n) - 1] * n
-        for pos, t in enumerate(tables):
-            at = [0] * len(t.up)
-            for g, c in enumerate(comps):
-                at[c[pos]] |= 1 << g
-            above = []
-            for row in t.up:
-                acc = 0
-                while row:
-                    c = (row & -row).bit_length() - 1
-                    row &= row - 1
-                    acc |= at[c]
-                above.append(acc)
-            up = [row & above[c[pos]] for row, c in zip(up, comps)]
-    keys = [_component_type(tables, c) for c in comps]
-    names = {key: type_name(key) for key in set(keys)}
-    labels = _make_labels([names[key] for key in keys])
-    poset = FinitePoset(n, labels, up, validate=False)
-    return SubgroupLattice(G, subs, poset, tables, comps)
+    """All subgroups plus the inclusion poset, deterministically ordered."""
+    return SubgroupLattice(G, _primary_parts(G, max_order, max_count))
 
 
 # ---------------------------------------------------------------------------
@@ -771,11 +843,7 @@ def section_type_keys(G):
     primes = sorted(ptype)
     from itertools import product as iproduct
 
-    per = [
-        {tuple(sorted(filter(None, c), reverse=True))
-         for c in iproduct(*[range(e + 1) for e in ptype[p]])}
-        for p in primes
-    ]
+    per = [_sub_partitions(ptype[p]) for p in primes]
     keys = {primary_type_key(dict(zip(primes, combo))) for combo in iproduct(*per)}
     return sorted(keys)
 

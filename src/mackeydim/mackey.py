@@ -258,9 +258,12 @@ def scan_frattini(G):
 
     A pair (H, K) with K < H is eligible when Phi(H) is not contained in K
     and the open interval is non-empty; its interval is the proper part of
-    Sub(H/K), and Phi(H) <= K exactly when H/K has squarefree exponent, so
-    eligibility and vanishing are decided per section type.  The literal
-    per-pair loop also runs whenever the lattice is small enough.
+    Sub(H/K).  Phi(H) <= K exactly when H/K has squarefree exponent, and a
+    section without it has a primary part of order >= p^2, so its interval
+    is never empty: eligibility and vanishing are decided per section type,
+    here by the closed form.  When the lattice is small enough, _pair_scan
+    also counts the eligible pairs and checks each eligible type once more,
+    by the generic route on a real interval of Sub(G).
     """
     section_keys = groups.section_type_keys(G)
     vanishing = []
@@ -278,8 +281,8 @@ def scan_frattini(G):
                 "eligible interval with non-vanishing cohomology",
                 {"section": _key_name(key), "cohomology": dims},
             )
-    pair_stats = _literal_pair_scan(G)
-    # frattini_realization raises unless its degree is the gldim
+    pair_stats = _pair_scan(G)
+    # frattini_realization raises unless its degree is r(G), the gldim
     _H, gldim = izext.frattini_realization(G)
     # the witness subgroup is G itself, named from its primary type
     name = groups.type_name(groups.primary_type_key(G.primary_type()))
@@ -304,18 +307,27 @@ def _key_name(key):
 _PAIR_TYPE_LIMIT = 20000
 
 
-def _literal_pair_scan(G):
-    """Per-pair eligibility count on the actual lattice, when affordable.
+def _pair_scan(G):
+    """Eligible pairs of Sub(G), counted in closed form, and one check of
+    vanishing per eligible section type, by the generic route.
 
-    For squarefree-exponent G every Phi(H) is trivial, so no pair is
-    eligible and the loop is skipped structurally.  Phi(H) comes from the
-    lattice (SubgroupLattice.frattini) and each pair's section type from
-    SubgroupLattice.section_type.  Vanishing is checked once per distinct
-    eligible type, by the generic route (izext.ext_dims) on the first
-    eligible interval of that type: order complex and elimination, sharing
-    nothing with the closed form behind the type-level check.  When the
-    eligible-pair count exceeds the per-pair budget, the exact count is
-    still reported and vanishing is covered by the type-level check alone.
+    A pair K < H is eligible when Phi(H) is not contained in K and the open
+    interval is non-empty.  Phi(H) <= K exactly when H/K has squarefree
+    exponent; a section without it has a primary part of order >= p^2,
+    which has a proper non-trivial subgroup, so its interval is never empty.
+    The eligible pairs are therefore the pairs K <= H less those with
+    Phi(H) <= K <= H, both counted off the primary tables
+    (SubgroupLattice.pair_counts).  For squarefree-exponent G every Phi(H)
+    is trivial, so no pair is eligible and nothing is built.
+
+    The eligible section types are the subgroup types of G without
+    squarefree exponent: every section type is a subgroup type, and (H, 1)
+    is eligible with the type of H.  Each is checked once, by the generic
+    route (izext.ext_dims: order complex and elimination) on the interval
+    (1, H) of the first subgroup H of that type, sharing nothing with the
+    closed form behind the type-level check.  When the eligible-pair count
+    exceeds the per-pair budget, the exact count is still reported and
+    vanishing is covered by the type-level check alone.
     """
     if all(e == 1 for _p, e in G.factors):
         return {"mode": "skipped-squarefree-exponent", "eligible_pairs": 0}
@@ -323,51 +335,29 @@ def _literal_pair_scan(G):
         lattice = groups.subgroup_lattice(G, max_count=_PAIR_SCAN_LIMIT)
     except groups.BudgetExceededError:
         return {"mode": "type-level-only", "eligible_pairs": None}
-    P = lattice.poset
-    n = lattice.n
-    eligible_masks = []
-    eligible = 0
-    for h in range(n):
-        phi = lattice.frattini(h)
-        # eligible K: strictly below h, not above phi, interval non-empty
-        mask = P.down[h] & ~(1 << h) & ~P.up[phi]
-        cand = mask
-        emask = 0
-        while cand:
-            kk = (cand & -cand).bit_length() - 1
-            cand &= cand - 1
-            between = P.down[h] & P.up[kk] & ~(1 << h) & ~(1 << kk)
-            if between:
-                emask |= 1 << kk
-        eligible += bin(emask).count("1")
-        eligible_masks.append(emask)
-    checked_types = {}
-    mode = "pairwise"
-    if eligible <= _PAIR_TYPE_LIMIT:
-        for h in range(n):
-            m = eligible_masks[h]
-            while m:
-                kk = (m & -m).bit_length() - 1
-                m &= m - 1
-                key = lattice.section_type(h, kk)
-                if key not in checked_types:
-                    checked_types[key] = izext.ext_dims(P, h, kk) == {}
-                if not checked_types[key]:
-                    raise DiscrepancyError(
-                        "eligible pair with non-vanishing interval cohomology",
-                        {
-                            "H": lattice.label(h),
-                            "K": lattice.label(kk),
-                            "section": _key_name(key),
-                        },
-                    )
-    else:
-        mode = "pairwise-count-only"
-    return {
-        "mode": mode,
-        "eligible_pairs": eligible,
-        "distinct_sections": len(checked_types) or None,
-    }
+    comparable, frattini = lattice.pair_counts()
+    eligible = comparable - frattini
+    if eligible > _PAIR_TYPE_LIMIT:
+        return {"mode": "pairwise-count-only", "eligible_pairs": eligible,
+                "distinct_sections": None}
+    bottom = lattice.bottom_index()
+    checked = set()
+    for h in range(lattice.n):
+        key = lattice.subgroup_type(h)
+        if key in checked or _squarefree_exponent_key(key):
+            continue
+        checked.add(key)
+        if izext.ext_dims(lattice.poset, h, bottom) != {}:
+            raise DiscrepancyError(
+                "eligible pair with non-vanishing interval cohomology",
+                {
+                    "H": lattice.label(h),
+                    "K": lattice.label(bottom),
+                    "section": _key_name(key),
+                },
+            )
+    return {"mode": "pairwise", "eligible_pairs": eligible,
+            "distinct_sections": len(checked)}
 
 
 def scan_conjectures(G):

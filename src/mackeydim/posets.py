@@ -17,6 +17,8 @@ __all__ = [
     "order_complex",
     "product",
     "dismantle",
+    "dismantle_mask",
+    "mask_indices",
     "poset_isomorphic",
     "parse_poset_text",
     "poset_to_text",
@@ -246,31 +248,27 @@ def order_complex(P, max_simplices=None):
     return OrderComplex(levels)
 
 
+def mask_indices(mask):
+    """The set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def open_interval(P, x, y):
     """Induced sub-poset on {z : y < z < x}; empty when y is not below x."""
     if not (0 <= x < P.n and 0 <= y < P.n):
         raise PosetError("interval endpoint out of range")
-    mask = P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
-    indices = []
-    m = mask
-    while m:
-        j = (m & -m).bit_length() - 1
-        m &= m - 1
-        indices.append(j)
-    return P.restrict(indices)
+    return P.restrict(mask_indices(P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)))
 
 
 def closed_interval(P, x, y):
     if not (0 <= x < P.n and 0 <= y < P.n):
         raise PosetError("interval endpoint out of range")
-    mask = P.down[x] & P.up[y]
-    indices = []
-    m = mask
-    while m:
-        j = (m & -m).bit_length() - 1
-        m &= m - 1
-        indices.append(j)
-    return P.restrict(indices)
+    return P.restrict(mask_indices(P.down[x] & P.up[y]))
 
 
 def product(P, Q, label_sep="|"):
@@ -292,27 +290,31 @@ def product(P, Q, label_sep="|"):
     return FinitePoset(P.n * Q.n, labels, up, validate=False)
 
 
-def dismantle(P):
-    """Remove irreducible points until none remain; homotopy type preserved.
+def dismantle_mask(P, mask):
+    """Dismantle the sub-poset of P induced on mask; return the survivors' mask.
 
-    A point is removable when its strict up-set has a minimum or its strict
-    down-set has a maximum (the retraction onto the rest moves every element
-    in one direction, so the order complexes are homotopy equivalent).
+    Irreducible points are removed until none remain, so the homotopy type
+    is preserved: a point is removable when its strict up-set has a minimum
+    or its strict down-set has a maximum (the retraction onto the rest moves
+    every element in one direction, so the order complexes are homotopy
+    equivalent).  Only P's up and down masks are read, limited to the points
+    still alive, so the induced sub-poset is never built; the points are
+    visited in ascending index order, as they would be after restricting P
+    to mask, and the survivors are the same.
     """
-    n = P.n
-    alive = (1 << n) - 1 if n else 0
-    up = list(P.up)
-    down = list(P.down)
+    up = P.up
+    down = P.down
+    alive = mask
 
-    def unique_extreme(mask, rows):
-        # does `mask` have an element comparable below/above all others?
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
+    def has_extreme(mask, dual):
+        # an element of `mask` below (above) all of it lies in dual[k], the
+        # down-set (up-set) of k, for every k in mask; stop once none is left
+        acc = m = mask
+        while m and acc:
+            k = (m & -m).bit_length() - 1
             m &= m - 1
-            if mask & ~rows[j] == 0:
-                return j
-        return None
+            acc &= dual[k]
+        return acc != 0
 
     changed = True
     while changed:
@@ -322,18 +324,23 @@ def dismantle(P):
             i = (m & -m).bit_length() - 1
             m &= m - 1
             upset = up[i] & alive & ~(1 << i)
-            if upset and unique_extreme(upset, up) is not None:
+            if upset and has_extreme(upset, down):
                 alive &= ~(1 << i)
                 changed = True
                 continue
             downset = down[i] & alive & ~(1 << i)
-            if downset and unique_extreme(downset, down) is not None:
+            if downset and has_extreme(downset, up):
                 alive &= ~(1 << i)
                 changed = True
-    indices = [i for i in range(n) if (alive >> i) & 1]
-    if len(indices) == n:
-        return P
-    return P.restrict(indices)
+    return alive
+
+
+def dismantle(P):
+    """P dismantled (dismantle_mask on the whole poset), P itself when no
+    point is removable."""
+    everything = (1 << P.n) - 1
+    alive = dismantle_mask(P, everything)
+    return P if alive == everything else P.restrict(mask_indices(alive))
 
 
 def _iso_invariant(P):

@@ -3,6 +3,8 @@
 - frattini_closed_form and quotient_type_key compute Phi(H) and the type of
   H/K from the HNF bases (meets and one Smith normal form), for comparison
   with SubgroupLattice.frattini and SubgroupLattice.section_type.
+- literal_pair_scan walks every pair (H, K) of the lattice, for comparison
+  with the closed-form pair counts of `scan frattini`.
 - building_summary computes the reduced cohomology of prop(Sub_Q) from the
   subgroup lattice of each primary part of Q: dismantle the proper part,
   then eliminate its order complex exactly.  Elementary parts of rank above
@@ -14,8 +16,9 @@
 from functools import lru_cache
 from itertools import permutations
 
-from mackeydim import groups, posets, qlinalg
+from mackeydim import groups, izext, mackey, posets, qlinalg
 from mackeydim.groups import meet, primary_type_key, subgroup_from_columns
+from mackeydim.izext import DiscrepancyError
 
 from group_oracle import quotient_invariants
 
@@ -36,6 +39,73 @@ def quotient_type_key(H, K):
         for p, e in groups._factorize(d):
             type_map.setdefault(p, []).append(e)
     return primary_type_key(type_map)
+
+
+def literal_pair_scan(G):
+    """Per-pair eligibility count on the actual lattice, when affordable:
+    the reference for mackey._pair_scan, which counts in closed form.
+
+    For squarefree-exponent G every Phi(H) is trivial, so no pair is
+    eligible and the loop is skipped structurally.  Phi(H) comes from the
+    lattice (SubgroupLattice.frattini) and each pair's section type from
+    SubgroupLattice.section_type.  Vanishing is checked once per distinct
+    eligible type, by the generic route (izext.ext_dims) on the first
+    eligible interval of that type: order complex and elimination, sharing
+    nothing with the closed form behind the type-level check.  When the
+    eligible-pair count exceeds the per-pair budget, the exact count is
+    still reported and vanishing is covered by the type-level check alone.
+    """
+    if all(e == 1 for _p, e in G.factors):
+        return {"mode": "skipped-squarefree-exponent", "eligible_pairs": 0}
+    try:
+        lattice = groups.subgroup_lattice(G, max_count=mackey._PAIR_SCAN_LIMIT)
+    except groups.BudgetExceededError:
+        return {"mode": "type-level-only", "eligible_pairs": None}
+    P = lattice.poset
+    n = lattice.n
+    eligible_masks = []
+    eligible = 0
+    for h in range(n):
+        phi = lattice.frattini(h)
+        # eligible K: strictly below h, not above phi, interval non-empty
+        mask = P.down[h] & ~(1 << h) & ~P.up[phi]
+        cand = mask
+        emask = 0
+        while cand:
+            kk = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            between = P.down[h] & P.up[kk] & ~(1 << h) & ~(1 << kk)
+            if between:
+                emask |= 1 << kk
+        eligible += bin(emask).count("1")
+        eligible_masks.append(emask)
+    checked_types = {}
+    mode = "pairwise"
+    if eligible <= mackey._PAIR_TYPE_LIMIT:
+        for h in range(n):
+            m = eligible_masks[h]
+            while m:
+                kk = (m & -m).bit_length() - 1
+                m &= m - 1
+                key = lattice.section_type(h, kk)
+                if key not in checked_types:
+                    checked_types[key] = izext.ext_dims(P, h, kk) == {}
+                if not checked_types[key]:
+                    raise DiscrepancyError(
+                        "eligible pair with non-vanishing interval cohomology",
+                        {
+                            "H": lattice.label(h),
+                            "K": lattice.label(kk),
+                            "section": mackey._key_name(key),
+                        },
+                    )
+    else:
+        mode = "pairwise-count-only"
+    return {
+        "mode": mode,
+        "eligible_pairs": eligible,
+        "distinct_sections": len(checked_types) or None,
+    }
 
 
 # A summary is ("full", dims) with the complete {degree: dim} dictionary, or

@@ -262,6 +262,25 @@ class TestScan:
         assert res.exit_code == 0
         assert json.loads(res.output)["realization"]["degree"] == 2
 
+    def test_frattini_discrepancy_exits_4(self, runner, monkeypatch):
+        # a non-vanishing interval on one witness is reported, not raised
+        right = izext.ext_dims
+
+        def wrong_at_c4(P, x, y, reduce=True):
+            return {3: 1} if P.labels[x] == "C4.1" else right(P, x, y, reduce)
+
+        monkeypatch.setattr(izext, "ext_dims", wrong_at_c4)
+        res = runner.invoke(main, ["scan", "--group", "C2xC4", "frattini"])
+        assert res.exit_code == 4
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert json.loads(lines[0]) == {
+            "discrepancy": "eligible pair with non-vanishing interval cohomology",
+            "details": {"H": "C4.1", "K": "C1", "section": "C4"},
+        }
+        assert lines[1:] == ["Error: eligible pair with non-vanishing interval cohomology"]
+        assert "Traceback" not in res.output
+
     def test_conjectures(self, runner):
         res = runner.invoke(main, ["scan", "--group", "C12", "conjectures"])
         assert res.exit_code == 0

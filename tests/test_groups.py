@@ -192,6 +192,30 @@ class TestProductLattice:
             subgroup_lattice(G, max_count=3000)
         assert built == [] and info.value.found == 29212
 
+    @pytest.mark.parametrize("factors, found", [
+        ([(2, 1)] * 5 + [(2, 2)], 5276),
+        ([(2, 1)] * 5 + [(2, 2), (3, 1)], 2 * 5276),
+    ])
+    def test_budget_checked_before_any_block(self, monkeypatch, factors, found):
+        built = []
+        monkeypatch.setattr(groups, "_prime_block_bases", lambda *args: built.append(args))
+        with pytest.raises(BudgetExceededError) as info:
+            subgroup_lattice(AbelianGroup(factors), max_count=3000)
+        assert built == [] and info.value.found == found
+
+    def test_subgroup_count_closed_form(self):
+        # Butler's sum over mu <= lambda against the enumerated blocks, on
+        # every primary part of the corpus and two refused ones
+        parts = {(p, tuple(sorted(part)))
+                 for n in range(2, 201) for G in abelian_groups_of_order(n)
+                 for p, part in G.primary_type().items()}
+        parts |= {(2, (1,) * 7), (2, (1, 1, 1, 1, 1, 2))}
+        for p, exps in sorted(parts):
+            assert groups._subgroup_count(p, exps) == \
+                len(groups._prime_block_bases(p, exps)), (p, exps)
+        assert groups._subgroup_count(2, (1,) * 7) == 29212
+        assert groups._subgroup_count(2, (1, 1, 1, 1, 1, 2)) == 5276
+
     def test_type_names(self):
         assert groups.type_name(()) == "C1"
         assert groups.type_name(((2, (1, 1)), (3, (1,)))) == "C2xC6"

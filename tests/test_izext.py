@@ -233,6 +233,20 @@ class TestFrattiniRealization:
             assert degree == expected
             assert H == groups.full_subgroup(G)
 
+    def test_wrong_elementary_degree_is_caught(self, monkeypatch):
+        # the witness degree is checked against r(G), not against the closed
+        # form it is read from, so a wrong top degree cannot agree with itself
+        right = izext.prop_cohomology_of_type
+
+        def shifted(key):
+            return {d + 1: v for d, v in right(key).items()}
+
+        monkeypatch.setattr(izext, "prop_cohomology_of_type", shifted)
+        with pytest.raises(izext.DiscrepancyError) as info:
+            frattini_realization(groups.parse_group("C12"))
+        assert info.value.details["factors"] == 2
+        assert info.value.details["witness_degree"] == 3
+
     def test_c12_cross_checked_by_table(self, lattice_cache):
         lat = lattice_cache("C12")
         phi = lat.frattini(lat.top_index())

@@ -21,6 +21,7 @@ from mackeydim.transfer import (
 )
 
 from group_oracle import count_prime_power_factors, quotient_invariants
+from section_oracle import literal_pair_scan
 
 
 def complete_system(lat):
@@ -229,6 +230,25 @@ class TestScans:
         report = scan_frattini(groups.parse_group("C2xC4"))
         assert report["pair_scan"]["mode"] == "pairwise"
         assert report["pair_scan"]["eligible_pairs"] > 0
+
+    def test_pair_scan_matches_the_literal_loop(self):
+        # the closed-form counts and per-type checks against the per-pair
+        # loop on every abelian group of order <= 200, in all four modes
+        modes = set()
+        for n in range(1, 201):
+            for G in groups.abelian_groups_of_order(n):
+                got = mackey._pair_scan(G)
+                assert got == literal_pair_scan(G), G
+                modes.add(got["mode"])
+        assert modes == {"skipped-squarefree-exponent", "pairwise",
+                         "pairwise-count-only", "type-level-only"}
+
+    def test_pair_counts_are_products_over_primes(self, lattice_cache):
+        lat = lattice_cache("C4xC12")
+        P = lat.poset
+        comparable = sum(row.bit_count() for row in P.down)
+        frattini = sum((P.down[h] & P.up[lat.frattini(h)]).bit_count() for h in range(lat.n))
+        assert lat.pair_counts() == (comparable, frattini)
 
     def test_conjectures_witness_table(self):
         report = scan_conjectures(groups.parse_group("C12"))

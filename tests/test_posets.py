@@ -1,11 +1,17 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
-from mackeydim import qlinalg
+from mackeydim import groups, qlinalg
 from mackeydim.posets import (
     FinitePoset,
     PosetError,
     dismantle,
+    dismantle_mask,
     hasse_dot,
+    mask_indices,
     open_interval,
     order_complex,
     parse_poset_text,
@@ -19,6 +25,68 @@ from conftest import random_poset
 
 def diamond():
     return FinitePoset.from_covers(["e", "p", "q", "G"], [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+
+def restricted_dismantle(P):
+    """The reference route: dismantle a poset on its own masks (callers pass
+    the restricted interval), returning the restricted survivors."""
+    n = P.n
+    alive = (1 << n) - 1 if n else 0
+    up = list(P.up)
+    down = list(P.down)
+
+    def unique_extreme(mask, rows):
+        m = mask
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            if mask & ~rows[j] == 0:
+                return j
+        return None
+
+    changed = True
+    while changed:
+        changed = False
+        m = alive
+        while m:
+            i = (m & -m).bit_length() - 1
+            m &= m - 1
+            upset = up[i] & alive & ~(1 << i)
+            if upset and unique_extreme(upset, up) is not None:
+                alive &= ~(1 << i)
+                changed = True
+                continue
+            downset = down[i] & alive & ~(1 << i)
+            if downset and unique_extreme(downset, down) is not None:
+                alive &= ~(1 << i)
+                changed = True
+    indices = [i for i in range(n) if (alive >> i) & 1]
+    if len(indices) == n:
+        return P
+    return P.restrict(indices)
+
+
+def generic_ext_inputs():
+    """The 206 posets of the benchmark's generic-ext workload, as it writes
+    them: the oracle-defect poset, 200 graded posets and five subgroup
+    lattices, each read back from its poset file."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    bench = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    texts = [bench.defect_poset_text()]
+    texts += [bench.graded_poset_text(i) for i in range(bench.GRADED_COUNT)]
+    texts += [poset_to_text(groups.subgroup_lattice(groups.parse_group(g)).poset)
+              for g in bench.POSET_LATTICES]
+    return [parse_poset_text(t) for t in texts]
+
+
+def assert_same_survivors(P, x, y):
+    """Dismantling (y, x) on P's masks keeps what dismantling it after
+    restricting keeps, point for point."""
+    mask = P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
+    in_place = P.restrict(mask_indices(dismantle_mask(P, mask)))
+    assert in_place == restricted_dismantle(open_interval(P, x, y)), (x, y)
 
 
 class TestConstruction:
@@ -164,6 +232,41 @@ class TestDismantle:
             a = qlinalg.reduced_cohomology_dims(order_complex(P))
             b = qlinalg.reduced_cohomology_dims(order_complex(dismantle(P)))
             assert a == b
+
+
+class TestDismantleMask:
+    def test_intervals_of_the_generic_ext_inputs(self):
+        inputs = generic_ext_inputs()
+        assert len(inputs) == 206
+        intervals = 0
+        for P in inputs:
+            for x in range(P.n):
+                for y in mask_indices(P.down[x] & ~(1 << x)):
+                    assert_same_survivors(P, x, y)
+                    intervals += 1
+        assert intervals == 23917
+
+    def test_index_order_not_a_linear_extension(self, rng):
+        # random DAGs relabelled by a random permutation, so a point may
+        # come before a point below it
+        unordered = 0
+        for _ in range(150):
+            n = rng.randint(1, 10)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            covers = [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n)
+                      if rng.random() < 0.35]
+            P = FinitePoset.from_covers([f"p{i}" for i in range(n)], covers)
+            unordered += any(a > b for a, b in covers)
+            assert dismantle(P) == restricted_dismantle(P)
+            for x in range(P.n):
+                for y in mask_indices(P.down[x] & ~(1 << x)):
+                    assert_same_survivors(P, x, y)
+        assert unordered > 100
+
+    def test_mask_indices(self):
+        assert mask_indices(0) == []
+        assert mask_indices(0b101001) == [0, 3, 5]
 
 
 class TestIsomorphism:

@@ -83,9 +83,16 @@ def test_section_types_are_read_off_the_lattice():
     # Phi and section types come from SubgroupLattice, with no SNF or meet
     banned = {"quotient_invariants", "quotient_type_key", "smith_normal_form",
               "meet", "frattini_closed_form"}
-    for module, name in [("mackey", "_literal_pair_scan"), ("izext", "ext_dims_section")]:
+    for module, name in [("mackey", "_pair_scan"), ("izext", "ext_dims_section")]:
         found = _calls(_function(module, name)) & banned
         assert not found, (name, found)
+
+
+def test_pair_scan_has_no_per_pair_loop():
+    # eligible pairs are counted off the primary tables and each type is
+    # checked once: no section type or interval is read per pair
+    found = _calls(_function("mackey", "_pair_scan")) & {"section_type", "open_interval"}
+    assert not found, found
 
 
 def test_no_smith_forms_or_element_sets_in_src():
