@@ -94,7 +94,7 @@ def lattice(group_spec, fmt, output, max_order, max_subgroups):
         _emit(posets.poset_to_text(lat.poset), output)
         return
     rows = [
-        (lat.label(i), lat.subgroups[i].order, groups.type_name(lat.subgroup_type(i)))
+        (lat.label(i), lat.order(i), groups.type_name(lat.subgroup_type(i)))
         for i in range(lat.n)
     ]
     if fmt == "json":
@@ -155,12 +155,9 @@ def gldim_ia(group_spec, poset_path, table, fmt, output):
         if P.n == 0:
             raise DomainExit("empty poset has no incidence algebra")
         name = poset_path
-        if table:
-            # the table holds every (x, x, 0), so its top degree is the gldim
-            entries = izext.ext_table(P)
-            value = max(n for _x, _y, n in entries)
-        else:
-            value = izext.gldim_incidence(P)
+        # the table holds every (x, x, 0), so its top degree is the gldim
+        entries = izext.ext_table(P)
+        value = max(n for _x, _y, n in entries)
     if fmt == "json":
         payload = {"schema": 1, "poset": name, "gldim": value}
         if table:

@@ -6,10 +6,13 @@ diag(n_1..n_k) Z^k <= L <= Z^k.  Equality of subgroups is bitwise equality
 of bases.  For coprime orders Sub(A x B) = Sub(A) x Sub(B) (R. Schmidt,
 Subgroup Lattices of Groups, 1994, 1.6), so subgroup_lattice builds one
 table per primary part (its subgroups, their orders, up-sets, Frattini
-subgroups and types) and reads the lattice of G off their product.  Orders,
-Frattini subgroups, labels and section types all split by prime, so no
-Smith normal form is taken (SubgroupLattice.frattini,
-SubgroupLattice.section_type).
+subgroups and types) and reads the lattice of G off their product.  A
+primary part's subgroups come from one recursive HNF enumerator
+(_prime_block_bases).  Orders, Frattini subgroups, labels and section types
+all split by prime, so no Smith normal form is taken
+(SubgroupLattice.frattini, SubgroupLattice.section_type).  The lattice names
+a subgroup by its index alone; enumerate_subgroups lists the Subgroup bases
+in the same order.
 """
 
 from __future__ import annotations
@@ -309,28 +312,6 @@ def join(H, K):
 # ---------------------------------------------------------------------------
 
 
-def _subspace_echelon_bases(p, m):
-    """Row-echelon bases of all subspaces of F_p^m (one basis per subspace)."""
-    out = [[]]
-    from itertools import combinations, product as iproduct
-
-    for d in range(1, m + 1):
-        for pivots in combinations(range(m), d):
-            free_positions = []
-            for r, pc in enumerate(pivots):
-                for c in range(pc + 1, m):
-                    if c not in pivots:
-                        free_positions.append((r, c))
-            for values in iproduct(range(p), repeat=len(free_positions)):
-                rows = [[0] * m for _ in range(d)]
-                for r, pc in enumerate(pivots):
-                    rows[r][pc] = 1
-                for (r, c), v in zip(free_positions, values):
-                    rows[r][c] = v
-                out.append(rows)
-    return out
-
-
 def _sub_partitions(part):
     """The partitions mu contained in part: the descending nonzero entries
     of the vectors c with 0 <= c_i <= part_i."""
@@ -406,26 +387,13 @@ def _prime_block_bases(p, exps):
     between diag(p^e) Z^m and Z^m, sorted as the subgroups of that p-group
     are (_lattice_sorted).
     """
+    from itertools import product as iproduct
+
     m = len(exps)
     moduli = [p**e for e in exps]
-    if m == 0:
-        return ((),)
-    if all(e == 1 for e in exps):
-        blocks = []
-        for rows in _subspace_echelon_bases(p, m):
-            gens = [[rows[r][i] for i in range(m)] for r in range(len(rows))]
-            cols = [list(g) for g in gens]
-            for i in range(m):
-                e_i = [0] * m
-                e_i[i] = p
-                cols.append(e_i)
-            basis = qlinalg.hnf_columns(cols, m)
-            blocks.append(tuple(tuple(c) for c in basis))
-        return _lattice_sorted(moduli, blocks, _subgroup_count(p, exps))
-
-    # general case: recursive column-wise enumeration with exact pruning;
-    # column j is chosen after columns > j, and N_j e_j must already lie in
-    # the span of columns >= j (pairwise divisibility is not sufficient)
+    # recursive column-wise enumeration with exact pruning; column j is
+    # chosen after columns > j, and N_j e_j must already lie in the span of
+    # columns >= j (pairwise divisibility is not sufficient)
     results = []
     divisor_choices = [[p**a for a in range(e + 1)] for e in exps]
 
@@ -449,8 +417,6 @@ def _prime_block_bases(p, exps):
             return
         d = diag[j]
         below = list(range(j + 1, m))
-        from itertools import product as iproduct
-
         for vals in iproduct(*[range(diag[i]) for i in below]):
             col = [0] * m
             col[j] = d
@@ -459,8 +425,6 @@ def _prime_block_bases(p, exps):
             cols_from_j = [col] + suffix_cols
             if span_check(cols_from_j, j):
                 build(j - 1, diag, cols_from_j)
-
-    from itertools import product as iproduct
 
     for diag in iproduct(*divisor_choices):
         build(m - 1, list(diag), [])
@@ -658,12 +622,14 @@ class _PrimeTable:
 
 
 class SubgroupLattice:
-    """Subgroups of G with the inclusion poset and label bookkeeping.
+    """Subgroups of G, by index, with the inclusion poset and labels.
 
     Sub(G) is the product of the primary tables, which are built with the
     lattice.  Everything else is read off them on first use, so a caller
-    that needs only the tables (pair_counts) builds no subgroup, mask or
-    label.  _comps[i] lists subgroup i's block index in each primary table.
+    that needs only the tables (pair_counts) builds no mask or label.
+    _keyed[i] is subgroup i's order and its block index in each primary
+    table; no Subgroup basis is built (enumerate_subgroups lists them in
+    this order).
     """
 
     def __init__(self, group, parts):
@@ -679,11 +645,6 @@ class SubgroupLattice:
     @cached_property
     def _comps(self):
         return [comps for _order, comps in self._keyed]
-
-    @cached_property
-    def subgroups(self):
-        return [_subgroup(self.group, self._parts, order, comps)
-                for order, comps in self._keyed]
 
     @cached_property
     def poset(self):
@@ -715,10 +676,6 @@ class SubgroupLattice:
         return FinitePoset(n, labels, up, validate=False)
 
     @cached_property
-    def _by_cols(self):
-        return {s.cols: i for i, s in enumerate(self.subgroups)}
-
-    @cached_property
     def _by_label(self):
         return {lab: i for i, lab in enumerate(self.poset.labels)}
 
@@ -727,12 +684,6 @@ class SubgroupLattice:
         index = {comps: j for j, comps in enumerate(self._comps)}
         return [index[tuple(t.phi[c] for t, c in zip(self._tables, comps))]
                 for comps in self._comps]
-
-    def index_of(self, sub):
-        try:
-            return self._by_cols[sub.cols]
-        except KeyError:
-            raise GroupError("subgroup not in lattice") from None
 
     def index_of_label(self, label):
         try:
@@ -743,6 +694,9 @@ class SubgroupLattice:
     def label(self, i):
         return self.poset.labels[i]
 
+    def order(self, i):
+        return self._keyed[i][0]
+
     # subgroups are sorted by order, so 1 comes first and G last
     def top_index(self):
         return self.n - 1
@@ -752,10 +706,6 @@ class SubgroupLattice:
 
     def leq(self, i, j):
         return self.poset.leq(i, j)
-
-    def frattini_subgroup(self, H):
-        """Frattini subgroup of H as a Subgroup (H given as a Subgroup)."""
-        return self.subgroups[self.frattini(self.index_of(H))]
 
     def frattini(self, i):
         """Phi of subgroup i: the product of the Frattini subgroups of its

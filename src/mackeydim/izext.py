@@ -4,7 +4,10 @@ cohomology, and the resulting global dimension.
 Two routes live here.  The generic route takes any finite poset and computes
 Ext^n(S_x, S_y) from the reduced cohomology of the open interval (empty
 interval = empty complex = Q in degree -1, so Ext is H~^{n-2} uniformly), by
-exact integer elimination.  The subgroup-lattice route exploits that the
+exact integer elimination.  Each interval stays a bitmask of the poset: it is
+dismantled and its chains are walked on the poset's own masks, once per
+distinct interval, and the global dimension is the top degree of the
+resulting table.  The subgroup-lattice route exploits that the
 closed interval [K, H] is the subgroup lattice of H/K: Ext only depends on
 the type of the section, which SubgroupLattice.section_type reads off the
 lattice, and the proper part of that type's lattice has its cohomology in
@@ -55,12 +58,17 @@ def _cohomology_to_ext(coh):
     return {d + 2: v for d, v in coh.items()}
 
 
-def ext_dims(P, x, y, reduce=True):
+def _open_mask(P, x, y):
+    return P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
+
+
+def ext_dims(P, x, y):
     """dim Ext^n(S_x, S_y) over IA(P) by degree, zero degrees omitted.
 
     x = y gives {0: 1}; y not below x gives {}; otherwise the reduced
     rational cohomology of the open interval, shifted by two (the empty
-    interval contributes Q in degree -1, hence Ext^1).
+    interval contributes Q in degree -1, hence Ext^1).  The interval is
+    dismantled and its chains walked on P's own masks.
     """
     if not (0 <= x < P.n and 0 <= y < P.n):
         raise IzextError("element index out of range")
@@ -68,44 +76,17 @@ def ext_dims(P, x, y, reduce=True):
         return {0: 1}
     if not P.leq(y, x):
         return {}
-    mask = P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
-    if reduce:
-        # dismantled on P's own masks, so the interval is restricted once
-        mask = posets.dismantle_mask(P, mask)
-    cx = posets.order_complex(P.restrict(posets.mask_indices(mask)))
+    mask = posets.dismantle_mask(P, _open_mask(P, x, y))
+    cx = posets.order_complex(P, mask)
     return _cohomology_to_ext(qlinalg.reduced_cohomology_dims(cx))
 
 
-def gldim_incidence(P, reduce=True):
-    """Largest n with Ext^n(S_x, S_y) != 0; 0 for non-empty discrete posets."""
+def gldim_incidence(P):
+    """Largest n with Ext^n(S_x, S_y) != 0: the top degree of ext_table(P),
+    0 for non-empty discrete posets."""
     if P.n == 0:
         raise IzextError("global dimension of the empty poset is undefined")
-    best = 0
-    # bound per pair: the height of the closed interval
-    pairs = []
-    for x in range(P.n):
-        down = P.down[x] & ~(1 << x)
-        m = down
-        while m:
-            y = (m & -m).bit_length() - 1
-            m &= m - 1
-            bound = posets.closed_interval(P, x, y).height()
-            pairs.append((bound, x, y))
-    pairs.sort(reverse=True)
-    seen = {}
-    for bound, x, y in pairs:
-        if bound <= best:
-            break
-        mask = P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
-        key = mask
-        if key in seen:
-            dims = seen[key]
-        else:
-            dims = ext_dims(P, x, y, reduce=reduce)
-            seen[key] = dims
-        if dims:
-            best = max(best, max(dims))
-    return best
+    return max(n for _x, _y, n in ext_table(P))
 
 
 def _table(P, dims):
@@ -122,9 +103,24 @@ def _table(P, dims):
     return table
 
 
-def ext_table(P, reduce=True):
-    """All nonzero Ext entries of IA(P) as a dict (x, y, n) -> dim."""
-    return _table(P, lambda x, y: ext_dims(P, x, y, reduce=reduce))
+def ext_table(P):
+    """All nonzero Ext entries of IA(P) as a dict (x, y, n) -> dim.
+
+    Ext^*(S_x, S_y) depends only on the open interval, so pairs with the
+    same interval mask share one computation.
+    """
+    seen = {}
+
+    def dims(x, y):
+        if x == y:
+            # mask 0, the key of a cover, but Ext^0 rather than Ext^1
+            return {0: 1}
+        key = _open_mask(P, x, y)
+        if key not in seen:
+            seen[key] = ext_dims(P, x, y)
+        return seen[key]
+
+    return _table(P, dims)
 
 
 def ext_table_section(lattice):
@@ -214,13 +210,13 @@ def gldim_subgroup_lattice(G):
 
 
 def frattini_realization(G):
-    """Witness (subgroup H, top Ext degree of (H, Phi H)) maximizing the degree.
+    """The largest top Ext degree of a pair (H, Phi H) of subgroups of G.
 
     For abelian H the pair (H, Phi H) has section type prod_p (C_p)^{m_p(H)},
     so its top Ext degree, read off the closed form, is the number of
     prime-power cyclic factors of H.  The maximum must be r(G), the number
-    of G's factors, which gldim IA(Sub_G) equals; otherwise a structured
-    discrepancy is raised.
+    of G's factors, which gldim IA(Sub_G) equals, attained at H = G;
+    otherwise a structured discrepancy is raised.
     """
     best_key = None
     best_deg = -1
@@ -248,5 +244,4 @@ def frattini_realization(G):
             {"factors": len(G.factors), "witness_degree": best_deg,
              "witness_type": best_key},
         )
-    H = groups.full_subgroup(G)
-    return H, best_deg
+    return best_deg

@@ -283,7 +283,7 @@ def scan_frattini(G):
             )
     pair_stats = _pair_scan(G)
     # frattini_realization raises unless its degree is r(G), the gldim
-    _H, gldim = izext.frattini_realization(G)
+    gldim = izext.frattini_realization(G)
     # the witness subgroup is G itself, named from its primary type
     name = groups.type_name(groups.primary_type_key(G.primary_type()))
     return {

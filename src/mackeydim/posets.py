@@ -2,7 +2,9 @@
 
 The order relation is stored as dense bitmask rows (Python ints), which keeps
 interval extraction and transitive-reduction computations cheap at the sizes
-that occur here (up to a few thousand elements).
+that occur here (up to a few thousand elements).  A sub-poset can stay a
+bitmask of its parent: dismantle_mask and order_complex take one and read
+only the parent's masks, so an interval needs no FinitePoset of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ __all__ = [
     "FinitePoset",
     "OrderComplex",
     "open_interval",
-    "closed_interval",
     "order_complex",
     "product",
     "dismantle",
@@ -220,31 +221,31 @@ class OrderComplex:
         return [len(level) for level in self.simplices_by_dim]
 
 
-def order_complex(P, max_simplices=None):
-    """All strict chains of P, deterministic lexicographic order per dimension."""
-    n = P.n
+def order_complex(P, mask=None):
+    """Strict chains of the sub-poset of P induced on mask (all of P when
+    mask is None), as tuples of P's own indices.
+
+    Each dimension is in lexicographic order: chains of one length are
+    extended by their successors in ascending index order, which keeps them
+    sorted.  Restricting P to mask_indices(mask) relabels monotonically, so
+    its chains are these, relabelled, in the same order.
+    """
+    if mask is None:
+        mask = (1 << P.n) - 1
+    up = P.up
     levels = []
-    if n == 0:
-        return OrderComplex([])
-    chains = [(i,) for i in range(n)]
-    levels.append(chains)
-    total = n
-    while True:
+    chains = [(i,) for i in mask_indices(mask)]
+    while chains:
+        levels.append(chains)
         nxt = []
-        for chain in levels[-1]:
+        for chain in chains:
             last = chain[-1]
-            mask = P.up[last] & ~(1 << last)
-            while mask:
-                j = (mask & -mask).bit_length() - 1
-                mask &= mask - 1
+            m = up[last] & mask & ~(1 << last)
+            while m:
+                j = (m & -m).bit_length() - 1
+                m &= m - 1
                 nxt.append(chain + (j,))
-        if not nxt:
-            break
-        nxt.sort()
-        total += len(nxt)
-        if max_simplices is not None and total > max_simplices:
-            raise PosetError(f"order complex exceeds {max_simplices} simplices")
-        levels.append(nxt)
+        chains = nxt
     return OrderComplex(levels)
 
 
@@ -263,12 +264,6 @@ def open_interval(P, x, y):
     if not (0 <= x < P.n and 0 <= y < P.n):
         raise PosetError("interval endpoint out of range")
     return P.restrict(mask_indices(P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)))
-
-
-def closed_interval(P, x, y):
-    if not (0 <= x < P.n and 0 <= y < P.n):
-        raise PosetError("interval endpoint out of range")
-    return P.restrict(mask_indices(P.down[x] & P.up[y]))
 
 
 def product(P, Q, label_sep="|"):

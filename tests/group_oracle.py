@@ -12,9 +12,14 @@
   The product of the primary tables (groups.subgroup_lattice) must equal it;
   past the element gate, contains_lattice orders the subgroups by HNF
   membership instead.
+- elementary_blocks lists the subgroups of (C_p)^m from the row-echelon
+  bases of the subspaces of F_p^m, one HNF each: the reference for the
+  recursive block enumerator on elementary types.
 """
 
 from collections import Counter
+from itertools import combinations, product
+from math import prod
 
 from mackeydim import groups, qlinalg
 from mackeydim.groups import (
@@ -192,3 +197,34 @@ def contains_lattice(subs):
         for H in subs
     ]
 
+
+def subspace_echelon_bases(p, m):
+    """Row-echelon bases of all subspaces of F_p^m (one basis per subspace)."""
+    out = [[]]
+    for d in range(1, m + 1):
+        for pivots in combinations(range(m), d):
+            free_positions = [(r, c) for r, pc in enumerate(pivots)
+                              for c in range(pc + 1, m) if c not in pivots]
+            for values in product(range(p), repeat=len(free_positions)):
+                rows = [[0] * m for _ in range(d)]
+                for r, pc in enumerate(pivots):
+                    rows[r][pc] = 1
+                for (r, c), v in zip(free_positions, values):
+                    rows[r][c] = v
+                out.append(rows)
+    return out
+
+
+def elementary_blocks(p, m):
+    """HNF column blocks of the subgroups of (C_p)^m, one per echelon basis,
+    sorted as Subgroup.sort_key sorts subgroups: by order, then row-major."""
+    blocks = []
+    for rows in subspace_echelon_bases(p, m):
+        gens = rows + [[p if i == j else 0 for i in range(m)] for j in range(m)]
+        blocks.append(tuple(tuple(c) for c in qlinalg.hnf_columns(gens, m)))
+
+    def key(block):
+        order = p ** m // prod(col[j] for j, col in enumerate(block))
+        return order, tuple(block[j][i] for i in range(m) for j in range(m))
+
+    return sorted(blocks, key=key)

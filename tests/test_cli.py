@@ -266,8 +266,8 @@ class TestScan:
         # a non-vanishing interval on one witness is reported, not raised
         right = izext.ext_dims
 
-        def wrong_at_c4(P, x, y, reduce=True):
-            return {3: 1} if P.labels[x] == "C4.1" else right(P, x, y, reduce)
+        def wrong_at_c4(P, x, y):
+            return {3: 1} if P.labels[x] == "C4.1" else right(P, x, y)
 
         monkeypatch.setattr(izext, "ext_dims", wrong_at_c4)
         res = runner.invoke(main, ["scan", "--group", "C2xC4", "frattini"])

@@ -26,6 +26,7 @@ from group_oracle import (
     contains_lattice,
     count_prime_power_factors,
     element_lattice,
+    elementary_blocks,
     iso_name,
     quotient_invariants,
     snf_labels,
@@ -96,9 +97,11 @@ class TestEnumeration:
     @pytest.mark.parametrize("spec", ["C2048", "C3xC729"])
     def test_element_order_matches_contains(self, spec):
         # above order 2000 the lattice order still comes from element masks
-        lat = subgroup_lattice(parse_group(spec))
-        for i, H in enumerate(lat.subgroups):
-            for j, K in enumerate(lat.subgroups):
+        G = parse_group(spec)
+        lat = subgroup_lattice(G)
+        subs = enumerate_subgroups(G)
+        for i, H in enumerate(subs):
+            for j, K in enumerate(subs):
                 assert lat.leq(i, j) == K.contains(H), (spec, i, j)
 
     def test_budget_error(self):
@@ -118,12 +121,14 @@ class TestEnumeration:
         lattices = small_lattices + [subgroup_lattice(parse_group("C2048"))]
         for lat in lattices:
             G = lat.group
-            assert lat.top_index() == lat.index_of(full_subgroup(G)), G
-            assert lat.bottom_index() == lat.index_of(trivial_subgroup(G)), G
+            subs = enumerate_subgroups(G)
+            assert lat.top_index() == subs.index(full_subgroup(G)), G
+            assert lat.bottom_index() == subs.index(trivial_subgroup(G)), G
 
 
 def _lattice_rows(lat):
-    return ([s.order for s in lat.subgroups], [s.cols for s in lat.subgroups],
+    return ([lat.order(i) for i in range(lat.n)],
+            [s.cols for s in enumerate_subgroups(lat.group)],
             list(lat.poset.labels), list(lat.poset.up))
 
 
@@ -162,7 +167,8 @@ class TestProductLattice:
         G = parse_group(spec)
         lat = subgroup_lattice(G)
         subs = sorted(enumerate_subgroups(G), key=groups.Subgroup.sort_key)
-        assert [s.cols for s in lat.subgroups] == [s.cols for s in subs]
+        assert enumerate_subgroups(G) == subs
+        assert [lat.order(i) for i in range(lat.n)] == [s.order for s in subs]
         assert list(lat.poset.up) == contains_lattice(subs), spec
         assert list(lat.poset.labels) == snf_labels(subs), spec
 
@@ -216,6 +222,20 @@ class TestProductLattice:
         assert groups._subgroup_count(2, (1,) * 7) == 29212
         assert groups._subgroup_count(2, (1, 1, 1, 1, 1, 2)) == 5276
 
+    def test_elementary_blocks_match_echelon_bases(self):
+        # the recursive enumerator against one HNF per subspace of F_p^m, on
+        # every elementary (C_p)^m of at most 4096 elements whose subgroup
+        # count is within the lattice's default budget
+        checked = 0
+        for p in filter(groups._is_prime, range(2, 4097)):
+            m = 1
+            while p**m <= 4096 and groups._subgroup_count(p, (1,) * m) <= 6000:
+                assert list(groups._prime_block_bases(p, (1,) * m)) == \
+                    elementary_blocks(p, m), (p, m)
+                checked += 1
+                m += 1
+        assert checked == 595
+
     def test_type_names(self):
         assert groups.type_name(()) == "C1"
         assert groups.type_name(((2, (1, 1)), (3, (1,)))) == "C2xC6"
@@ -249,13 +269,14 @@ class TestCanonicality:
 class TestLatticeOps:
     def test_meet_join_coprime(self, lattice_cache):
         lat = lattice_cache("C6")
-        c2 = lat.subgroups[lat.index_of_label("C2")]
-        c3 = lat.subgroups[lat.index_of_label("C3")]
+        subs = enumerate_subgroups(lat.group)
+        c2 = subs[lat.index_of_label("C2")]
+        c3 = subs[lat.index_of_label("C3")]
         assert meet(c2, c3).order == 1
         assert join(c2, c3).order == 6
 
     def test_idempotence(self, lattice_cache):
-        for H in lattice_cache("C12").subgroups:
+        for H in enumerate_subgroups(parse_group("C12")):
             assert meet(H, H) == H and join(H, H) == H
 
     def test_lattice_laws(self):
@@ -305,19 +326,21 @@ class TestQuotients:
     def test_c12_examples(self, lattice_cache):
         lat = lattice_cache("C12")
         G = full_subgroup(lat.group)
-        cq = lat.subgroups[lat.index_of_label("C3")]
-        cp = lat.subgroups[lat.index_of_label("C2")]
+        subs = enumerate_subgroups(lat.group)
+        cq = subs[lat.index_of_label("C3")]
+        cp = subs[lat.index_of_label("C2")]
         assert quotient_invariants(G, cq) == [4]
         assert quotient_invariants(G, cp) == [6]
 
     def test_trivial_quotient(self, lattice_cache):
-        for H in lattice_cache("C12").subgroups:
+        for H in enumerate_subgroups(parse_group("C12")):
             assert quotient_invariants(H, H) == []
 
     def test_containment_violation(self, lattice_cache):
         lat = lattice_cache("C6")
-        c2 = lat.subgroups[lat.index_of_label("C2")]
-        c3 = lat.subgroups[lat.index_of_label("C3")]
+        subs = enumerate_subgroups(lat.group)
+        c2 = subs[lat.index_of_label("C2")]
+        c3 = subs[lat.index_of_label("C3")]
         with pytest.raises(ContainmentError):
             quotient_invariants(c2, c3)
 
@@ -378,10 +401,11 @@ class TestFrattini:
             if i != top and P.leq(i, top)
             and all(not (P.lt(i, j) and P.lt(j, top)) for j in range(lat.n))
         ]
-        acc = lat.subgroups[maximal[0]]
+        subs = enumerate_subgroups(lat.group)
+        acc = subs[maximal[0]]
         for j in maximal[1:]:
-            acc = meet(acc, lat.subgroups[j])
-        assert lat.frattini(top) == lat.index_of(acc)
+            acc = meet(acc, subs[j])
+        assert lat.frattini(top) == subs.index(acc)
         assert lat.label(lat.frattini(top)) == "C2"
 
     def test_trivial_subgroup_fixed(self, lattice_cache):
@@ -390,23 +414,25 @@ class TestFrattini:
 
     def test_subgroup_level_wrapper(self, lattice_cache):
         lat = lattice_cache("C12")
-        c4 = lat.subgroups[lat.index_of_label("C4")]
-        assert iso_name(lat.frattini_subgroup(c4)) == "C2"
+        subs = enumerate_subgroups(lat.group)
+        assert iso_name(subs[lat.frattini(lat.index_of_label("C4"))]) == "C2"
 
     def test_closed_form_agreement(self):
         for n in [4, 8, 12, 16, 24, 36, 48, 60, 72, 100, 144, 196, 200]:
             for G in abelian_groups_of_order(n):
                 lat = subgroup_lattice(G)
-                via_lattice = lat.subgroups[lat.frattini(lat.top_index())]
+                via_lattice = enumerate_subgroups(G)[lat.frattini(lat.top_index())]
                 assert frattini_closed_form(full_subgroup(G)) == via_lattice
 
     def test_closed_form_agreement_all_subgroups(self):
         # the per-subgroup closed form Phi(H) = intersection of pH matches the
         # lattice route (meet of the prime-index subgroups of H) everywhere
         for lat in reader_lattices():
-            for h in range(lat.n):
-                phi = frattini_closed_form(lat.subgroups[h])
-                assert lat.frattini(h) == lat.index_of(phi), (lat.group, lat.label(h))
+            subs = enumerate_subgroups(lat.group)
+            index = {H: i for i, H in enumerate(subs)}
+            for h, H in enumerate(subs):
+                phi = frattini_closed_form(H)
+                assert lat.frattini(h) == index[phi], (lat.group, lat.label(h))
 
 
 # Brute-force type oracle: every subgroup and every quotient, one SNF each.
@@ -448,8 +474,9 @@ class TestSectionTypes:
     def test_sections_cover_all_quotients(self, lattice_cache):
         # literal sections of C12 computed pairwise vs the type engine
         lat = lattice_cache("C12")
+        subs = enumerate_subgroups(lat.group)
         keys = {
-            quotient_type_key(lat.subgroups[i], lat.subgroups[j])
+            quotient_type_key(subs[i], subs[j])
             for i in range(lat.n)
             for j in range(lat.n)
             if lat.poset.leq(j, i)
@@ -460,8 +487,9 @@ class TestSectionTypes:
         for spec in ["C1", "C2xC4", "C2xC2xC2", "C3xC9", "C8", "C2xC2xC3"]:
             G = parse_group(spec)
             lat = subgroup_lattice(G)
+            subs = enumerate_subgroups(G)
             literal = {
-                quotient_type_key(lat.subgroups[i], lat.subgroups[j])
+                quotient_type_key(subs[i], subs[j])
                 for i in range(lat.n)
                 for j in range(lat.n)
                 if lat.poset.leq(j, i)
@@ -484,7 +512,7 @@ class TestSectionTypes:
 
     def test_section_type_matches_smith_form(self):
         for lat in reader_lattices():
-            subs = lat.subgroups
+            subs = enumerate_subgroups(lat.group)
             for h in range(lat.n):
                 m = lat.poset.down[h]
                 while m:

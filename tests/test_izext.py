@@ -12,6 +12,7 @@ from mackeydim.izext import (
     prop_cohomology_of_type,
     section_contribution,
 )
+from mackeydim.posets import mask_indices
 
 from conftest import FIXTURES, random_poset
 from section_oracle import FULL_BUILDING_LIMIT, building_summary, join_dims
@@ -57,13 +58,15 @@ class TestExtDims:
         assert ext_dims(lat.poset, lat.index_of_label("C4"), lat.index_of_label("C2")) == {1: 1}
 
     def test_reduce_matches_unreduced(self, rng):
+        # the reference route: the open interval restricted to a poset of its
+        # own, not dismantled, its whole order complex eliminated
         for _ in range(20):
             P = random_poset(rng.randint(2, 7), rng)
             for x in range(P.n):
-                for y in range(P.n):
-                    assert ext_dims(P, x, y, reduce=True) == ext_dims(
-                        P, x, y, reduce=False
-                    )
+                for y in mask_indices(P.down[x] & ~(1 << x)):
+                    interval = posets.open_interval(P, x, y)
+                    coh = qlinalg.reduced_cohomology_dims(posets.order_complex(interval))
+                    assert ext_dims(P, x, y) == {d + 2: v for d, v in coh.items()}, (x, y)
 
     def test_index_range(self, lattice_cache):
         with pytest.raises(IzextError):
@@ -229,9 +232,7 @@ class TestFrattiniRealization:
     def test_examples(self):
         for spec, expected in [("C2xC2", 2), ("C4", 1), ("C12", 2), ("C60", 3)]:
             G = groups.parse_group(spec)
-            H, degree = frattini_realization(G)
-            assert degree == expected
-            assert H == groups.full_subgroup(G)
+            assert frattini_realization(G) == expected
 
     def test_wrong_elementary_degree_is_caught(self, monkeypatch):
         # the witness degree is checked against r(G), not against the closed

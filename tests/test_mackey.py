@@ -75,7 +75,7 @@ class TestFactorCount:
         # r(H/K) read off the section type against one SNF per pair
         for spec in ["C12", "C2xC4xC3", "C2xC2xC2xC3", "C4xC12", "C3xC9", "C2xC2xC4"]:
             lat = lattice_cache(spec)
-            subs = lat.subgroups
+            subs = groups.enumerate_subgroups(lat.group)
             for h in range(lat.n):
                 for k in range(lat.n):
                     if lat.leq(k, h):

@@ -85,6 +85,7 @@ class TestAgreementWithIzext:
         for _ in range(60):
             P = random_poset(rng.randint(1, 7), rng)
             assert ext_table_oracle(P) == izext.ext_table(P)
+            assert izext.gldim_incidence(P) == gldim_oracle(P)
 
     def test_small_lattices(self, lattice_cache):
         for spec in ["C6", "C12", "C2xC2", "C2xC4", "C30", "C2xC2xC2", "C3xC9"]:

@@ -83,10 +83,20 @@ def generic_ext_inputs():
 
 def assert_same_survivors(P, x, y):
     """Dismantling (y, x) on P's masks keeps what dismantling it after
-    restricting keeps, point for point."""
-    mask = P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
-    in_place = P.restrict(mask_indices(dismantle_mask(P, mask)))
+    restricting keeps, point for point; return the survivors' mask."""
+    mask = dismantle_mask(P, P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y))
+    in_place = P.restrict(mask_indices(mask))
     assert in_place == restricted_dismantle(open_interval(P, x, y)), (x, y)
+    return mask
+
+
+def assert_same_chains(P, mask):
+    """The chains walked on P's masks are those of the restricted poset,
+    mapped back through its indices, in the same order."""
+    indices = mask_indices(mask)
+    restricted = order_complex(P.restrict(indices)).simplices_by_dim
+    mapped = [[tuple(indices[i] for i in chain) for chain in level] for level in restricted]
+    assert order_complex(P, mask).simplices_by_dim == mapped, bin(mask)
 
 
 class TestConstruction:
@@ -180,6 +190,9 @@ class TestOrderComplex:
         assert cx.simplices_by_dim[0] == [(0,), (1,), (2,)]
         assert cx.simplices_by_dim[1] == [(0, 1), (0, 2), (1, 2)]
         assert cx.simplices_by_dim[2] == [(0, 1, 2)]
+        # a mask keeps P's own indices
+        assert order_complex(P, 0b101).simplices_by_dim == [[(0,), (2,)], [(0, 2)]]
+        assert order_complex(P, 0).empty
 
     def test_face_closure(self, rng):
         for _ in range(15):
@@ -242,7 +255,7 @@ class TestDismantleMask:
         for P in inputs:
             for x in range(P.n):
                 for y in mask_indices(P.down[x] & ~(1 << x)):
-                    assert_same_survivors(P, x, y)
+                    assert_same_chains(P, assert_same_survivors(P, x, y))
                     intervals += 1
         assert intervals == 23917
 

@@ -79,6 +79,20 @@ def test_izext_builds_no_lattice():
     assert "subgroup_lattice" not in _calls(tree)
 
 
+def test_izext_walks_intervals_as_masks():
+    # intervals stay bitmasks of the caller's poset: no sub-poset is built
+    path = Path(mackeydim.__file__).parent / "izext.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = _calls(tree) & {"restrict", "open_interval", "closed_interval"}
+    assert not found, found
+
+
+def test_one_block_enumerator():
+    # every primary type, elementary ones too, goes through the recursive
+    # HNF enumerator; the echelon-basis route is a test oracle
+    assert "hnf_columns" not in _calls(_function("groups", "_prime_block_bases"))
+
+
 def test_section_types_are_read_off_the_lattice():
     # Phi and section types come from SubgroupLattice, with no SNF or meet
     banned = {"quotient_invariants", "quotient_type_key", "smith_normal_form",
