@@ -18,7 +18,6 @@ from .groups import GroupError
 from .izext import DiscrepancyError
 from .posets import PosetError
 
-EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_DISCREPANCY = 4
 
@@ -59,15 +58,8 @@ def _emit(text, output):
 
 
 @click.group()
-@click.option("--threads", type=int, default=1, show_default=True,
-              help="Worker threads; results are identical for any value.")
-@click.pass_context
-def main(ctx, threads):
+def main():
     """Global dimensions of rational incomplete Mackey functor categories."""
-    if threads < 1:
-        raise click.UsageError("--threads must be at least 1")
-    ctx.ensure_object(dict)
-    ctx.obj["threads"] = threads
 
 
 def _load_lattice(group_spec, max_order, max_subgroups):
@@ -250,7 +242,7 @@ def random_poset(n, rng, edge_prob=0.35):
 
 @main.command(name="oracle-check")
 @click.option("--max-group-order", type=int, default=24, show_default=True)
-@click.option("--max-elements", type=int, default=6, show_default=True)
+@click.option("--max-elements", type=click.IntRange(min=1), default=6, show_default=True)
 @click.option("--samples", type=int, default=50, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--inject-fault", is_flag=True, default=False,

@@ -1,18 +1,18 @@
 """Finite abelian group arithmetic on canonical HNF subgroup lattices.
 
-A group is a product of cyclic factors of prime-power order; a subgroup is
-the canonical column-HNF basis of an integer lattice L with
-diag(n_1..n_k) Z^k <= L <= Z^k.  Equality of subgroups is bitwise equality
-of bases.  For coprime orders Sub(A x B) = Sub(A) x Sub(B) (R. Schmidt,
-Subgroup Lattices of Groups, 1994, 1.6), so subgroup_lattice builds one
-table per primary part (its subgroups, their orders, up-sets, Frattini
-subgroups and types) and reads the lattice of G off their product.  A
-primary part's subgroups come from one recursive HNF enumerator
-(_prime_block_bases).  Orders, Frattini subgroups, labels and section types
-all split by prime, so no Smith normal form is taken
-(SubgroupLattice.frattini, SubgroupLattice.section_type).  The lattice names
-a subgroup by its index alone; enumerate_subgroups lists the Subgroup bases
-in the same order.
+A group is a product of cyclic factors of prime-power order; a subgroup of
+a primary part is the canonical column-HNF basis (a block) of an integer
+lattice L with diag(n_1..n_k) Z^k <= L <= Z^k, so equality of subgroups is
+bitwise equality of blocks.  For coprime orders Sub(A x B) = Sub(A) x
+Sub(B) (R. Schmidt, Subgroup Lattices of Groups, 1994, 1.6), so
+subgroup_lattice builds one table per primary part (its subgroups, their
+orders, up-sets, Frattini subgroups and types) and reads the lattice of G
+off their product.  A primary part's subgroups come from one recursive HNF
+enumerator (_prime_block_bases).  Orders, Frattini subgroups, labels and
+section types all split by prime, so no Smith normal form is taken
+(_PrimeTable.phi, SubgroupLattice.section_type).  The lattice names a
+subgroup by its index alone; the HNF basis of the whole subgroup, with
+meets and joins on it, is the test oracle in tests/group_oracle.py.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from functools import cached_property, lru_cache
 from math import prod
 from operator import add, mod
 
-from . import qlinalg
 from .posets import FinitePoset
 
 __all__ = [
@@ -31,14 +30,9 @@ __all__ = [
     "BudgetExceededError",
     "ContainmentError",
     "AbelianGroup",
-    "Subgroup",
     "SubgroupLattice",
     "parse_group",
-    "group_from_primary_type",
     "subgroup_lattice",
-    "enumerate_subgroups",
-    "meet",
-    "join",
     "primary_type_key",
     "type_name",
     "section_type_keys",
@@ -63,31 +57,41 @@ class BudgetExceededError(GroupError):
         self.found = found
 
 
+# One fixed budget on group specs, checked before any power or
+# factorisation is computed: prime factors are found by trial division up
+# to _TRIAL_LIMIT, so a cofactor left above _COFACTOR_LIMIT = _TRIAL_LIMIT^2
+# may be composite and is refused, and the exponents of a spec sum to at
+# most _EXPONENT_LIMIT.  So no number in a spec within the budget has more
+# digits than _COFACTOR_LIMIT^_EXPONENT_LIMIT.
+_TRIAL_LIMIT = 10**6
+_COFACTOR_LIMIT = _TRIAL_LIMIT**2
+_EXPONENT_LIMIT = 64
+_MAX_DIGITS = len(str(_COFACTOR_LIMIT**_EXPONENT_LIMIT))
+
+
 def _factorize(n):
+    """Prime factorisation of n; ParseError past the trial-division budget."""
     out = []
     d = 2
     while d * d <= n:
-        while n % d == 0:
+        if d > _TRIAL_LIMIT:
+            raise ParseError(
+                f"{n} has no prime factor up to {_TRIAL_LIMIT} and exceeds {_COFACTOR_LIMIT}"
+            )
+        if n % d == 0:
             e = 0
             while n % d == 0:
                 n //= d
                 e += 1
             out.append((d, e))
-        d += 1
+        d += 1 if d == 2 else 2
     if n > 1:
         out.append((n, 1))
     return out
 
 
 def _is_prime(n):
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and _factorize(n) == [(n, 1)]
 
 
 class AbelianGroup:
@@ -110,10 +114,6 @@ class AbelianGroup:
             order *= p**e
         self.order = order
         self.moduli = tuple(moduli)
-
-    @property
-    def k(self):
-        return len(self.factors)
 
     def primary_type(self):
         """Mapping prime -> descending exponent partition."""
@@ -141,48 +141,57 @@ _CN_RE = re.compile(r"^c(\d+)$")
 _PE_RE = re.compile(r"^(\d+)(?:\^(\d+))?$")
 
 
+def _number(digits, spec):
+    if len(digits.lstrip("0")) > _MAX_DIGITS:
+        raise ParseError(f"a number in {spec!r} exceeds the factorisation budget")
+    return int(digits)
+
+
 def parse_group(spec):
-    """Parse `C<n>` terms joined by `x`, or `<p>^<e>` terms joined by `*`."""
+    """Parse `C<n>` terms joined by `x`, or `<p>^<e>` terms joined by `*`.
+
+    The exponents sum to at most _EXPONENT_LIMIT, and every prime is
+    found or certified within the trial-division budget; past either the
+    spec is refused before any power is computed.
+    """
     s = spec.strip().lower().replace(" ", "")
     if not s:
         raise ParseError("empty group spec")
+    factors = []
     if s.startswith("c") or "x" in s:
-        factors = []
         for tok in s.split("x"):
             m = _CN_RE.match(tok)
             if not m:
                 raise ParseError(f"bad cyclic term {tok!r} in {spec!r}")
-            n = int(m.group(1))
+            n = _number(m.group(1), spec)
             if n == 0:
                 raise ParseError("C0 is not a group")
             factors.extend(_factorize(n))
+            _check_exponents(factors, spec)
         return AbelianGroup(factors)
-    factors = []
     for tok in s.split("*"):
         m = _PE_RE.match(tok)
         if not m:
             raise ParseError(f"bad prime-power term {tok!r} in {spec!r}")
-        p = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) else 1
+        p = _number(m.group(1), spec)
+        e = _number(m.group(2), spec) if m.group(2) else 1
         if e < 1:
             raise ParseError(f"exponent {e} < 1 in {spec!r}")
+        factors.append((p, e))
+        _check_exponents(factors, spec)
         if p == 1:
             if m.group(2) is None and len(s.split("*")) == 1:
                 raise ParseError("1 is not a prime; use C1 for the trivial group")
             raise ParseError("factor 1 is not allowed")
         if not _is_prime(p):
             raise ParseError(f"{p} is not prime in {spec!r}")
-        factors.append((p, e))
     return AbelianGroup(factors)
 
 
-def group_from_primary_type(type_map):
-    """AbelianGroup from {prime: exponent partition}."""
-    factors = []
-    for p, part in type_map.items():
-        for e in part:
-            factors.append((p, e))
-    return AbelianGroup(factors)
+def _check_exponents(factors, spec):
+    total = sum(e for _p, e in factors)
+    if total > _EXPONENT_LIMIT:
+        raise ParseError(f"exponents sum to {total} > {_EXPONENT_LIMIT} in {spec!r}")
 
 
 def primary_type_key(type_map):
@@ -201,44 +210,6 @@ def type_name(type_key):
     return "x".join(f"C{d}" for d in reversed(invariants)) or "C1"
 
 
-class Subgroup:
-    """Canonical subgroup of an AbelianGroup: column-HNF lattice basis."""
-
-    __slots__ = ("ambient", "cols", "order", "_key")
-
-    def __init__(self, ambient, cols, order):
-        self.ambient = ambient
-        self.cols = cols  # tuple of k columns, each a tuple of k ints
-        self.order = order
-        # row-major flattening for the deterministic lexicographic order
-        k = ambient.k
-        self._key = (order, tuple(cols[j][i] for i in range(k) for j in range(k)))
-
-    def sort_key(self):
-        return self._key
-
-    def contains(self, other):
-        if other.ambient != self.ambient:
-            raise GroupError("ambient mismatch")
-        return all(_in_span(self.cols, list(c)) for c in other.cols)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Subgroup)
-            and self.ambient == other.ambient
-            and self.cols == other.cols
-        )
-
-    def __hash__(self):
-        return hash((self.ambient, self.cols))
-
-    def __lt__(self, other):
-        return self._key < other._key
-
-    def __repr__(self):
-        return f"Subgroup(order {self.order}, cols {self.cols} of {self.ambient.spec_string()})"
-
-
 def _in_span(cols, v):
     """Is integer vector v in the span of lower-triangular HNF columns?"""
     k = len(v)
@@ -252,59 +223,6 @@ def _in_span(cols, v):
             for i in range(j, k):
                 v[i] -= q * cols[j][i]
     return not any(v)
-
-
-def subgroup_from_columns(G, columns):
-    """Canonical subgroup generated by the given integer column vectors."""
-    k = G.k
-    gens = [list(c) for c in columns]
-    for i in range(k):
-        col = [0] * k
-        col[i] = G.moduli[i]
-        gens.append(col)
-    if k == 0:
-        return Subgroup(G, (), 1)
-    basis = qlinalg.hnf_columns(gens, k)
-    if len(basis) != k:
-        raise GroupError("subgroup lattice is not full rank")
-    det = 1
-    for j in range(k):
-        det *= basis[j][j]
-    if G.order % det:
-        raise GroupError("lattice determinant does not divide the group order")
-    cols = tuple(tuple(c) for c in basis)
-    return Subgroup(G, cols, G.order // det)
-
-
-def full_subgroup(G):
-    cols = [[1 if i == j else 0 for i in range(G.k)] for j in range(G.k)]
-    return subgroup_from_columns(G, cols)
-
-
-def meet(H, K):
-    """Lattice intersection."""
-    if H.ambient != K.ambient:
-        raise GroupError("ambient mismatch")
-    G = H.ambient
-    k = G.k
-    if k == 0:
-        return H
-    rows = [
-        [H.cols[j][i] for j in range(k)] + [-K.cols[j][i] for j in range(k)]
-        for i in range(k)
-    ]
-    kern = qlinalg.kernel_basis_int(rows, 2 * k)
-    cols = []
-    for vec in kern:
-        col = [sum(H.cols[j][i] * vec[j] for j in range(k)) for i in range(k)]
-        cols.append(col)
-    return subgroup_from_columns(G, cols)
-
-
-def join(H, K):
-    if H.ambient != K.ambient:
-        raise GroupError("ambient mismatch")
-    return subgroup_from_columns(H.ambient, list(H.cols) + list(K.cols))
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +282,8 @@ def _block_order(moduli, block):
 
 
 def _lattice_sorted(moduli, blocks, count):
-    """Blocks sorted as Subgroup.sort_key sorts subgroups: by order, then
-    row-major basis.  They must be `count` distinct blocks."""
+    """Blocks sorted by order, then row-major basis: the lattice order.
+    They must be `count` distinct blocks."""
     blocks = set(blocks)
     if len(blocks) != count:
         raise GroupError("block count differs from the closed-form subgroup count")
@@ -459,7 +377,7 @@ def _lattice_order(parts):
     G's factors are sorted by prime, so a subgroup's basis is block diagonal
     and its row-major flattening lists the primes' blocks in turn.  At a
     fixed order every block's order is fixed too, so sorting by (order,
-    block indices) is sorting by Subgroup.sort_key.
+    block indices) is sorting by (order, row-major basis).
     """
     from itertools import product as iproduct
 
@@ -473,24 +391,6 @@ def _lattice_order(parts):
         keyed.append((order, comps))
     keyed.sort()
     return keyed
-
-
-def _subgroup(G, parts, order, comps):
-    """The subgroup of G whose p-component is block comps[i] of prime i."""
-    k = G.k
-    cols = [[0] * k for _ in range(k)]
-    offset = 0
-    for (_p, exps, blocks), c in zip(parts, comps):
-        for j, col in enumerate(blocks[c]):
-            cols[offset + j][offset:offset + len(exps)] = col
-        offset += len(exps)
-    return Subgroup(G, tuple(tuple(c) for c in cols), order)
-
-
-def enumerate_subgroups(G, max_order=100000, max_count=None):
-    """All subgroups of G, sorted by (order, row-major basis)."""
-    parts = _primary_parts(G, max_order, max_count)
-    return [_subgroup(G, parts, order, comps) for order, comps in _lattice_order(parts)]
 
 
 # Up to this many elements a primary part's inclusion order comes from
@@ -628,8 +528,7 @@ class SubgroupLattice:
     lattice.  Everything else is read off them on first use, so a caller
     that needs only the tables (pair_counts) builds no mask or label.
     _keyed[i] is subgroup i's order and its block index in each primary
-    table; no Subgroup basis is built (enumerate_subgroups lists them in
-    this order).
+    table; no basis of the whole subgroup is built.
     """
 
     def __init__(self, group, parts):
@@ -679,12 +578,6 @@ class SubgroupLattice:
     def _by_label(self):
         return {lab: i for i, lab in enumerate(self.poset.labels)}
 
-    @cached_property
-    def _phi(self):
-        index = {comps: j for j, comps in enumerate(self._comps)}
-        return [index[tuple(t.phi[c] for t, c in zip(self._tables, comps))]
-                for comps in self._comps]
-
     def index_of_label(self, label):
         try:
             return self._by_label[label]
@@ -703,14 +596,6 @@ class SubgroupLattice:
 
     def bottom_index(self):
         return 0
-
-    def leq(self, i, j):
-        return self.poset.leq(i, j)
-
-    def frattini(self, i):
-        """Phi of subgroup i: the product of the Frattini subgroups of its
-        primary components."""
-        return self._phi[i]
 
     def pair_counts(self):
         """(pairs K <= H, pairs Phi(H) <= K <= H) of subgroups of G.

@@ -21,8 +21,6 @@ lattice and with the brute-force resolution oracle.
 
 from __future__ import annotations
 
-import json
-
 from . import groups, posets, qlinalg
 from .groups import AbelianGroup, primary_type_key
 
@@ -33,7 +31,6 @@ __all__ = [
     "gldim_incidence",
     "ext_table",
     "ext_table_section",
-    "ext_table_json",
     "gldim_subgroup_lattice",
     "ext_dims_section",
     "section_contribution",
@@ -126,23 +123,6 @@ def ext_table(P):
 def ext_table_section(lattice):
     """ext_table of IA(Sub_G) through the section types (abelian G)."""
     return _table(lattice.poset, lambda x, y: ext_dims_section(lattice, x, y))
-
-
-def ext_table_json(P, entries=None):
-    if entries is None:
-        entries = ext_table(P)
-    return json.dumps(
-        {
-            "schema": 1,
-            "poset_labels": list(P.labels),
-            "entries": [
-                {"x": x, "y": y, "n": n, "dim": dim}
-                for (x, y, n), dim in sorted(entries.items())
-            ],
-        },
-        indent=2,
-        sort_keys=True,
-    )
 
 
 # ---------------------------------------------------------------------------

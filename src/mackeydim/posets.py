@@ -1,10 +1,12 @@
-"""Finite posets, open intervals, order complexes, and homotopy-safe reduction.
+"""Finite posets, order complexes, and homotopy-safe reduction.
 
 The order relation is stored as dense bitmask rows (Python ints), which keeps
 interval extraction and transitive-reduction computations cheap at the sizes
 that occur here (up to a few thousand elements).  A sub-poset can stay a
 bitmask of its parent: dismantle_mask and order_complex take one and read
 only the parent's masks, so an interval needs no FinitePoset of its own.
+The restricted routes (open_interval, dismantle) and the isomorphism test
+are test oracles in tests/poset_oracle.py.
 """
 
 from __future__ import annotations
@@ -14,13 +16,10 @@ __all__ = [
     "PosetError",
     "FinitePoset",
     "OrderComplex",
-    "open_interval",
     "order_complex",
     "product",
-    "dismantle",
     "dismantle_mask",
     "mask_indices",
-    "poset_isomorphic",
     "parse_poset_text",
     "poset_to_text",
     "hasse_dot",
@@ -115,9 +114,6 @@ class FinitePoset:
     def leq(self, i, j):
         return (self.up[i] >> j) & 1 == 1
 
-    def lt(self, i, j):
-        return i != j and (self.up[i] >> j) & 1 == 1
-
     def covers(self):
         """Transitive reduction as a sorted list of (lower, upper) pairs."""
         if self._covers is None:
@@ -173,15 +169,6 @@ class FinitePoset:
             len(indices), [self.labels[v] for v in indices], up, validate=False
         )
 
-    def minimal_elements(self):
-        return [i for i in range(self.n) if self.down[i] == (1 << i)]
-
-    def index_of(self, label):
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise PosetError(f"no element labelled {label!r}") from None
-
     def __repr__(self):
         return f"FinitePoset({self.n} elements)"
 
@@ -210,15 +197,8 @@ class OrderComplex:
         while self.simplices_by_dim and not self.simplices_by_dim[-1]:
             self.simplices_by_dim.pop()
 
-    @property
-    def empty(self):
-        return not self.simplices_by_dim
-
     def total_simplices(self):
         return sum(len(level) for level in self.simplices_by_dim)
-
-    def counts(self):
-        return [len(level) for level in self.simplices_by_dim]
 
 
 def order_complex(P, mask=None):
@@ -257,13 +237,6 @@ def mask_indices(mask):
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def open_interval(P, x, y):
-    """Induced sub-poset on {z : y < z < x}; empty when y is not below x."""
-    if not (0 <= x < P.n and 0 <= y < P.n):
-        raise PosetError("interval endpoint out of range")
-    return P.restrict(mask_indices(P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)))
 
 
 def product(P, Q, label_sep="|"):
@@ -328,79 +301,6 @@ def dismantle_mask(P, mask):
                 alive &= ~(1 << i)
                 changed = True
     return alive
-
-
-def dismantle(P):
-    """P dismantled (dismantle_mask on the whole poset), P itself when no
-    point is removable."""
-    everything = (1 << P.n) - 1
-    alive = dismantle_mask(P, everything)
-    return P if alive == everything else P.restrict(mask_indices(alive))
-
-
-def _iso_invariant(P):
-    """Per-element invariant used to cut the isomorphism search space."""
-    inv = []
-    for i in range(P.n):
-        inv.append(
-            (
-                bin(P.down[i]).count("1"),
-                bin(P.up[i]).count("1"),
-            )
-        )
-    # refine by multiset of neighbour invariants, twice
-    for _ in range(2):
-        new = []
-        for i in range(P.n):
-            dn = sorted(
-                inv[j]
-                for j in range(P.n)
-                if (P.down[i] >> j) & 1 and j != i
-            )
-            un = sorted(
-                inv[j] for j in range(P.n) if (P.up[i] >> j) & 1 and j != i
-            )
-            new.append((inv[i], tuple(dn), tuple(un)))
-        inv = new
-    return inv
-
-
-def poset_isomorphic(P, Q):
-    """Backtracking isomorphism test (test helper; correctness over speed)."""
-    if P.n != Q.n:
-        return False
-    ip = _iso_invariant(P)
-    iq = _iso_invariant(Q)
-    if sorted(ip) != sorted(iq):
-        return False
-    candidates = [[j for j in range(Q.n) if iq[j] == ip[i]] for i in range(P.n)]
-    order = sorted(range(P.n), key=lambda i: len(candidates[i]))
-    assignment = [-1] * P.n
-    used = [False] * Q.n
-
-    def ok(i, j, depth):
-        for k in order[:depth]:
-            jk = assignment[k]
-            if P.leq(i, k) != Q.leq(j, jk) or P.leq(k, i) != Q.leq(jk, j):
-                return False
-        return True
-
-    def backtrack(depth):
-        if depth == P.n:
-            return True
-        i = order[depth]
-        for j in candidates[i]:
-            if used[j] or not ok(i, j, depth):
-                continue
-            assignment[i] = j
-            used[j] = True
-            if backtrack(depth + 1):
-                return True
-            used[j] = False
-            assignment[i] = -1
-        return False
-
-    return backtrack(0)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ these families; `close` serves generator files, which may name any arrow.
 from __future__ import annotations
 
 from .groups import BudgetExceededError, GroupError
-from .posets import FinitePoset
+from .posets import FinitePoset, mask_indices
 
 __all__ = [
     "TransferError",
@@ -30,7 +30,6 @@ __all__ = [
     "class_poset",
     "enumerate_disk_like",
     "parse_generator_lines",
-    "generator_file_text",
 ]
 
 
@@ -93,18 +92,15 @@ class TransferSystem:
             self._meets = _meet_table(self.lattice)
         return self._meets
 
-    def has_arrow(self, k, h):
-        return (self.into[h] >> k) & 1 == 1
-
     def arrows(self):
-        return [(k, h) for h, row in enumerate(self.into) for k in _bits(row)]
+        return [(k, h) for h, row in enumerate(self.into) for k in mask_indices(row)]
 
     def nontrivial_arrows(self):
         return [(k, h) for (k, h) in self.arrows() if k != h]
 
     def generators_into_top(self):
         top = self.lattice.top_index()
-        return [(k, top) for k in _bits(self.into[top]) if k != top]
+        return [(k, top) for k in mask_indices(self.into[top]) if k != top]
 
     def contains(self, other):
         return all(o & ~s == 0 for s, o in zip(self.into, other.into))
@@ -125,15 +121,6 @@ class TransferSystem:
 
     def __repr__(self):
         return f"TransferSystem({len(self.nontrivial_arrows())} arrows)"
-
-
-def _bits(mask):
-    out = []
-    while mask:
-        j = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        out.append(j)
-    return out
 
 
 def _mask(indices):
@@ -160,7 +147,7 @@ def close(lattice, generator_pairs, meets=None):
             )
         into[h] |= 1 << k
     meets = meets if meets is not None else _meet_table(lattice)
-    down_lists = [_bits(P.down[h]) for h in range(n)]
+    down_lists = [mask_indices(P.down[h]) for h in range(n)]
     changed = True
     while changed:
         changed = False
@@ -181,7 +168,7 @@ def close(lattice, generator_pairs, meets=None):
             row = into[h] & ~(1 << h)
             if not row:
                 continue
-            ks = _bits(row)
+            ks = mask_indices(row)
             for l in down_lists[h]:
                 if l == h:
                     continue
@@ -210,17 +197,17 @@ def validate(T):
             return Violation("reflexivity", (h,), f"missing {lab(h)} -> {lab(h)}")
         extra = T.into[h] & ~P.down[h]
         if extra:
-            k = _bits(extra)[0]
+            k = mask_indices(extra)[0]
             return Violation(
                 "refinement", (k, h), f"{lab(k)} -> {lab(h)} but {lab(k)} is not a subgroup of {lab(h)}"
             )
     for h in range(n):
-        for k in _bits(T.into[h]):
+        for k in mask_indices(T.into[h]):
             if k != h and (T.into[k] >> h) & 1:
                 return Violation("antisymmetry", (k, h), f"{lab(k)} <-> {lab(h)}")
             missing = T.into[k] & ~T.into[h]
             if missing:
-                j = _bits(missing)[0]
+                j = mask_indices(missing)[0]
                 return Violation(
                     "transitivity",
                     (j, k, h),
@@ -228,10 +215,10 @@ def validate(T):
                 )
     meets = T.meets()
     for h in range(n):
-        ks = [k for k in _bits(T.into[h]) if k != h]
+        ks = [k for k in mask_indices(T.into[h]) if k != h]
         if not ks:
             continue
-        for l in _bits(P.down[h]):
+        for l in mask_indices(P.down[h]):
             if l == h:
                 continue
             for k in ks:
@@ -253,7 +240,7 @@ def system_of_family(lattice, family, meets):
     S} is reflexive (G ^ h = h), restriction-closed and transitive
     ((s' ^ s ^ h) with s' ^ s in S), so it is the closure of S -> G.
     """
-    members = _bits(family)
+    members = mask_indices(family)
     into = [_mask(meets[h][s] for s in members) for h in range(lattice.n)]
     return TransferSystem(lattice, into, meets)
 
@@ -370,7 +357,7 @@ def enumerate_disk_like(lattice):
     todo = list(seen)
     while todo:
         family = todo.pop()
-        members = _bits(family)
+        members = mask_indices(family)
         for s in range(n):
             grown = family | _mask(meets[s][f] for f in members)
             if grown not in seen:
@@ -386,7 +373,7 @@ def enumerate_disk_like(lattice):
     # largest families first, so every one-element extension is done
     for a in sorted(range(len(families)), key=lambda a: -families[a].bit_count()):
         row = 1 << a
-        for x in _bits(~families[a] & ((1 << n) - 1)):
+        for x in mask_indices(~families[a] & ((1 << n) - 1)):
             b = index.get(families[a] | 1 << x)
             if b is not None:
                 row |= up[b]
@@ -418,7 +405,3 @@ def parse_generator_lines(text, lattice):
         pairs.append((k, h))
     return pairs
 
-
-def generator_file_text(lattice, pairs):
-    lines = [f"gen: {lattice.label(k)} -> {lattice.label(h)}" for k, h in pairs]
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -2,7 +2,8 @@
 
 - frattini_closed_form and quotient_type_key compute Phi(H) and the type of
   H/K from the HNF bases (meets and one Smith normal form), for comparison
-  with SubgroupLattice.frattini and SubgroupLattice.section_type.
+  with the primary tables' Frattini blocks (group_oracle.frattini_indices)
+  and SubgroupLattice.section_type.
 - literal_pair_scan walks every pair (H, K) of the lattice, for comparison
   with the closed-form pair counts of `scan frattini`.
 - building_summary computes the reduced cohomology of prop(Sub_Q) from the
@@ -17,10 +18,17 @@ from functools import lru_cache
 from itertools import permutations
 
 from mackeydim import groups, izext, mackey, posets, qlinalg
-from mackeydim.groups import meet, primary_type_key, subgroup_from_columns
+from mackeydim.groups import primary_type_key
 from mackeydim.izext import DiscrepancyError
 
-from group_oracle import quotient_invariants
+from group_oracle import (
+    frattini_indices,
+    group_from_primary_type,
+    meet,
+    quotient_invariants,
+    subgroup_from_columns,
+)
+from poset_oracle import dismantle, open_interval
 
 
 def frattini_closed_form(H):
@@ -47,8 +55,8 @@ def literal_pair_scan(G):
 
     For squarefree-exponent G every Phi(H) is trivial, so no pair is
     eligible and the loop is skipped structurally.  Phi(H) comes from the
-    lattice (SubgroupLattice.frattini) and each pair's section type from
-    SubgroupLattice.section_type.  Vanishing is checked once per distinct
+    primary tables (group_oracle.frattini_indices) and each pair's section
+    type from SubgroupLattice.section_type.  Vanishing is checked once per distinct
     eligible type, by the generic route (izext.ext_dims) on the first
     eligible interval of that type: order complex and elimination, sharing
     nothing with the closed form behind the type-level check.  When the
@@ -65,8 +73,9 @@ def literal_pair_scan(G):
     n = lattice.n
     eligible_masks = []
     eligible = 0
+    phis = frattini_indices(lattice)
     for h in range(n):
-        phi = lattice.frattini(h)
+        phi = phis[h]
         # eligible K: strictly below h, not above phi, interval non-empty
         mask = P.down[h] & ~(1 << h) & ~P.up[phi]
         cand = mask
@@ -196,9 +205,9 @@ def ptype_summary(p, part):
     k = len(part)
     if k > FULL_BUILDING_LIMIT and all(e == 1 for e in part):
         return building_top_certificate(k)
-    lattice = groups.subgroup_lattice(groups.group_from_primary_type({p: part}))
-    interval = posets.open_interval(lattice.poset, lattice.top_index(), lattice.bottom_index())
-    cx = posets.order_complex(posets.dismantle(interval))
+    lattice = groups.subgroup_lattice(group_from_primary_type({p: part}))
+    interval = open_interval(lattice.poset, lattice.top_index(), lattice.bottom_index())
+    cx = posets.order_complex(dismantle(interval))
     return ("full", qlinalg.reduced_cohomology_dims(cx))
 
 

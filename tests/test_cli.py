@@ -91,9 +91,21 @@ class TestGldimIA:
         )
         assert res.exit_code == 2
 
-    def test_threads_flag_accepted(self, runner):
+    def test_threads_flag_rejected(self, runner):
+        # the option never changed a result and is gone
         res = runner.invoke(main, ["--threads", "2", "gldim-ia", "--group", "C6"])
-        assert res.exit_code == 0
+        assert res.exit_code == 2
+
+    @pytest.mark.parametrize("spec", [
+        "C1000000000000000003",  # a cofactor past the trial-division budget
+        "2^100000",  # an exponent whose power has too many digits to print
+        "2^3000000",
+    ])
+    def test_huge_spec_is_refused_by_the_budget(self, runner, spec):
+        res = runner.invoke(main, ["gldim-ia", "--group", spec])
+        assert res.exit_code == 3
+        assert len(res.output.splitlines()) == 1
+        assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("error, code", [
         (qlinalg.QLinalgError("elimination failed"), 3),
@@ -315,6 +327,12 @@ class TestOracleCheck:
             ],
         )
         assert res.exit_code == 4
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_elements_below_one_is_usage_error(self, runner, value):
+        res = runner.invoke(main, ["oracle-check", "--max-elements", value])
+        assert res.exit_code == 2
+        assert "Traceback" not in res.output
 
     def test_oracle_error_exits_3(self, runner, monkeypatch):
         def fail(P):

@@ -5,7 +5,6 @@ from mackeydim.izext import (
     IzextError,
     ext_dims,
     ext_dims_section,
-    ext_table,
     frattini_realization,
     gldim_incidence,
     gldim_subgroup_lattice,
@@ -15,6 +14,8 @@ from mackeydim.izext import (
 from mackeydim.posets import mask_indices
 
 from conftest import FIXTURES, random_poset
+from group_oracle import frattini_indices
+from poset_oracle import open_interval
 from section_oracle import FULL_BUILDING_LIMIT, building_summary, join_dims
 
 
@@ -64,7 +65,7 @@ class TestExtDims:
             P = random_poset(rng.randint(2, 7), rng)
             for x in range(P.n):
                 for y in mask_indices(P.down[x] & ~(1 << x)):
-                    interval = posets.open_interval(P, x, y)
+                    interval = open_interval(P, x, y)
                     coh = qlinalg.reduced_cohomology_dims(posets.order_complex(interval))
                     assert ext_dims(P, x, y) == {d + 2: v for d, v in coh.items()}, (x, y)
 
@@ -139,7 +140,7 @@ class TestSectionEngine:
             B = groups.parse_group(b)
             G = groups.AbelianGroup(A.factors + B.factors)
             lat = groups.subgroup_lattice(G)
-            interval = posets.open_interval(
+            interval = open_interval(
                 lat.poset, lat.top_index(), lat.bottom_index()
             )
             direct = qlinalg.reduced_cohomology_dims(posets.order_complex(interval))
@@ -250,7 +251,7 @@ class TestFrattiniRealization:
 
     def test_c12_cross_checked_by_table(self, lattice_cache):
         lat = lattice_cache("C12")
-        phi = lat.frattini(lat.top_index())
+        phi = frattini_indices(lat)[lat.top_index()]
         dims = ext_dims(lat.poset, lat.top_index(), phi)
         assert max(dims) == 2 == gldim_incidence(lat.poset)
 
@@ -262,27 +263,16 @@ class TestFrattiniVanishing:
             for G in groups.abelian_groups_of_order(n):
                 lat = groups.subgroup_lattice(G)
                 P = lat.poset
+                phis = frattini_indices(lat)
                 for h in range(lat.n):
-                    phi = lat.frattini(h)
+                    phi = phis[h]
                     for k in range(lat.n):
                         if k == h or not P.leq(k, h) or P.leq(phi, k):
                             continue
-                        interval = posets.open_interval(P, h, k)
+                        interval = open_interval(P, h, k)
                         if interval.n == 0:
                             continue
                         coh = qlinalg.reduced_cohomology_dims(
                             posets.order_complex(interval)
                         )
                         assert coh == {}, (G, lat.label(h), lat.label(k))
-
-
-class TestExtTableExport:
-    def test_json_schema(self, lattice_cache):
-        P = lattice_cache("C6").poset
-        import json
-
-        payload = json.loads(izext.ext_table_json(P))
-        assert payload["schema"] == 1
-        assert payload["poset_labels"] == list(P.labels)
-        entries = {(e["x"], e["y"], e["n"]): e["dim"] for e in payload["entries"]}
-        assert entries == ext_table(P)

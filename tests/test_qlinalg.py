@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mackeydim import izext, posets, qlinalg
-from mackeydim.qlinalg import (
+from mackeydim.qlinalg import euler_characteristic_reduced, reduced_cohomology_dims
+
+from conftest import random_poset
+from linalg_oracle import (
     bareiss_rank,
-    euler_characteristic_reduced,
+    echelon_rank,
     gauss_rank,
     hnf_columns,
     kernel_basis_int,
-    rank,
-    reduced_cohomology_dims,
     reduced_homology_dims,
     smith_normal_form,
 )
-
-from conftest import random_poset
+from poset_oracle import open_interval
 
 
 small_int = st.integers(min_value=-9, max_value=9)
@@ -35,17 +35,17 @@ def matrix_strategy(max_dim=6):
 
 class TestRank:
     def test_zero_matrix(self):
-        assert rank([[0, 0], [0, 0], [0, 0]]) == 0
+        assert echelon_rank([[0, 0], [0, 0], [0, 0]]) == 0
 
     def test_identity(self):
-        assert rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+        assert echelon_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
 
     def test_proportional_rows(self):
-        assert rank([[1, 2], [2, 4]]) == 1
+        assert echelon_rank([[1, 2], [2, 4]]) == 1
 
     def test_fraction_entries(self):
-        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
-        assert rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]) == 2
+        assert echelon_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), 1]]) == 1
+        assert echelon_rank([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), 1]]) == 2
 
     @given(matrix_strategy())
     @settings(max_examples=150, deadline=None)
@@ -55,7 +55,7 @@ class TestRank:
     @given(matrix_strategy())
     @settings(max_examples=150, deadline=None)
     def test_echelon_agrees_with_references(self, rows):
-        assert rank(rows) == bareiss_rank(rows) == gauss_rank(rows)
+        assert echelon_rank(rows) == bareiss_rank(rows) == gauss_rank(rows)
 
 
 class TestSNF:
@@ -209,12 +209,12 @@ class TestCohomology:
     def test_chain_is_full_simplex(self):
         P = posets.FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2)])
         cx = _complex_of(P)
-        assert cx.counts() == [3, 3, 1]
+        assert [len(level) for level in cx.simplices_by_dim] == [3, 3, 1]
         assert reduced_cohomology_dims(cx) == {}
 
     def test_hexagon_circle(self, lattice_cache):
         lat = lattice_cache("C30")
-        interval = posets.open_interval(
+        interval = open_interval(
             lat.poset, lat.top_index(), lat.bottom_index()
         )
         assert interval.n == 6
@@ -222,7 +222,7 @@ class TestCohomology:
 
     def test_cube_boundary_sphere(self, lattice_cache):
         lat = lattice_cache("2*2*2")
-        interval = posets.open_interval(
+        interval = open_interval(
             lat.poset, lat.top_index(), lat.bottom_index()
         )
         dims = reduced_cohomology_dims(_complex_of(interval))
@@ -287,7 +287,7 @@ class TestCohomology:
             n_d = len(cx.simplices_by_dim[d])
             if rows:
                 dense = [[row.get(j, 0) for j in range(n_d)] for row in rows]
-                r = rank(dense)
+                r = echelon_rank(dense)
                 nullity = len(kernel_basis_int(dense, n_d))
                 assert r == bareiss_rank(dense)
                 assert r + nullity == n_d
@@ -310,9 +310,9 @@ class TestClearing:
         checked = 0
         for x in range(P.n):
             for y in range(P.n):
-                if not P.lt(y, x):
+                if y == x or not P.leq(y, x):
                     continue
-                cx = _complex_of(posets.open_interval(P, x, y))
+                cx = _complex_of(open_interval(P, x, y))
                 _assert_clearing_agrees(cx)
                 dims = reduced_cohomology_dims(cx)
                 assert dims == izext.prop_cohomology_of_type(lat.section_type(x, y))
@@ -327,7 +327,7 @@ class TestClearing:
         # leading its pivots, so delta^0 builds 64 of its 315 edge rows
         lat = lattice_cache("C2xC2xC2xC2")
         cx = _complex_of(
-            posets.open_interval(lat.poset, lat.top_index(), lat.bottom_index())
+            open_interval(lat.poset, lat.top_index(), lat.bottom_index())
         )
         built = [0]
         original = qlinalg._coboundary_row
@@ -386,7 +386,7 @@ class TestUnitPivots:
         # pivot stays so; none is marked, so none is ever size-reduced
         lat = lattice_cache("C2xC2xC2xC2")
         cx = _complex_of(
-            posets.open_interval(lat.poset, lat.top_index(), lat.bottom_index())
+            open_interval(lat.poset, lat.top_index(), lat.bottom_index())
         )
         ech = qlinalg.IntEchelon()
         for row in coboundary_rows(cx.simplices_by_dim, 1):

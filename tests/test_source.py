@@ -140,3 +140,143 @@ def test_runs_without_numpy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# ---------------------------------------------------------------------------
+# Reachability: src/ defines only what a caller reaches
+# ---------------------------------------------------------------------------
+
+REPO = Path(mackeydim.__file__).resolve().parent.parent.parent
+MODULES = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+CALLERS = sorted((REPO / "perfbench").glob("*.py")) + [REPO / "tests" / "test_acceptance.py"]
+
+
+def _definitions():
+    """(module, name) -> node for every top-level function, class and
+    constant, and (module, "Class.method") -> node for every method."""
+    defs = {}
+    for module, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef):
+                            defs[module, f"{node.name}.{item.name}"] = item
+            elif isinstance(node, ast.Assign):
+                for target in node.targets:
+                    if isinstance(target, ast.Name) and not target.id.startswith("__"):
+                        defs[module, target.id] = node
+    return defs
+
+
+def _imported_names(tree):
+    """local name -> (module, name) for `from .m import name` and
+    `from mackeydim.m import name`."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.removeprefix("mackeydim.")
+            if (node.level or node.module.startswith("mackeydim.")) and module in MODULES:
+                for alias in node.names:
+                    out[alias.asname or alias.name] = (module, alias.name)
+    return out
+
+
+def _references(node, module, imported, defs, methods):
+    """The definitions node refers to.  A bare name resolves in its own
+    module (None outside the package) or through `imported`; `m.name` with
+    m a package module resolves there; any other attribute resolves to
+    every method of that name, since the receiver's class is not known
+    statically."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if (module, sub.id) in defs:
+                yield module, sub.id
+            elif sub.id in imported:
+                yield imported[sub.id]
+        elif isinstance(sub, ast.Attribute):
+            owner = sub.value
+            owner_name = getattr(owner, "id", None) or getattr(owner, "attr", None)
+            if owner_name in MODULES and (owner_name, sub.attr) in defs:
+                yield owner_name, sub.attr
+            else:
+                yield from methods.get(sub.attr, ())
+
+
+def _is_command(node):
+    # `@main.command(...)` and the `@click.group()` entry point itself
+    return any(
+        isinstance(sub, ast.Name) and sub.id in {"main", "click"}
+        for dec in node.decorator_list for sub in ast.walk(dec)
+    )
+
+
+def reachable(callers=CALLERS):
+    """(the definitions reached from the CLI commands and from what the
+    caller files name, every definition of src/mackeydim)."""
+    defs = _definitions()
+    methods = {}
+    for module, name in defs:
+        if "." in name:
+            methods.setdefault(name.split(".")[1], []).append((module, name))
+    todo = [("cli", node.name) for node in MODULES["cli"].body
+            if isinstance(node, ast.FunctionDef) and _is_command(node)]
+    for path in callers:
+        tree = ast.parse(path.read_text())
+        todo += _references(tree, None, _imported_names(tree), defs, methods)
+    imported = {module: _imported_names(tree) for module, tree in MODULES.items()}
+    seen = set()
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in defs:
+            continue
+        seen.add(key)
+        module, name = key
+        node = defs[key]
+        if isinstance(node, ast.ClassDef):
+            # bases, class attributes and the dunder methods Python calls
+            for item in node.bases + node.body:
+                if not isinstance(item, ast.FunctionDef):
+                    todo += _references(item, module, imported[module], defs, methods)
+                elif item.name.startswith("__"):
+                    todo.append((module, f"{name}.{item.name}"))
+        else:
+            todo += _references(node, module, imported[module], defs, methods)
+    return seen, defs
+
+
+def test_src_defines_only_what_a_caller_reaches():
+    # test-only oracles live in tests/; code that nothing calls is deleted
+    seen, defs = reachable()
+    unreached = sorted(f"{module}.{name}" for module, name in defs
+                       if (module, name) not in seen and not name.split(".")[-1].startswith("__"))
+    assert not unreached, unreached
+
+
+def test_reachability_tells_the_roots_apart():
+    # from the CLI commands alone, what only perfbench/ or the acceptance
+    # suite calls is unreached: the walk does not reach everything by name
+    seen, _defs = reachable(callers=[])
+    for key in [("posets", "OrderComplex.total_simplices"), ("mackey", "class_dim"),
+                ("transfer", "TransferSystem.is_complete")]:
+        assert key not in seen, key
+    assert ("groups", "_in_span") in seen and ("cli", "gldim_ia") in seen
+
+
+def test_all_lists_only_defined_names():
+    # a stale export left behind by a move or a deletion fails here
+    found = []
+    for module, tree in MODULES.items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        defined |= {target.id for node in tree.body if isinstance(node, ast.Assign)
+                    for target in node.targets if isinstance(target, ast.Name)}
+        defined |= {alias.asname or alias.name for node in tree.body
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        for node in tree.body:
+            if (isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+                found += [f"{module}.{name}" for name in ast.literal_eval(node.value)
+                          if name not in defined]
+    assert not found, found
