@@ -13,7 +13,7 @@ import random
 
 import click
 
-from . import groups, izext, mackey, oracle, posets, qlinalg, transfer
+from . import groups, izext, mackey, oracle, posets, transfer
 from .groups import GroupError
 from .izext import DiscrepancyError
 from .posets import PosetError
@@ -43,7 +43,7 @@ def _domain_errors(fn):
                                   sort_keys=True, default=str), err=True)
             raise DiscrepancyExit(str(exc))
         except (GroupError, PosetError, transfer.TransferError, oracle.OracleError,
-                qlinalg.QLinalgError, izext.IzextError) as exc:
+                izext.IzextError) as exc:
             raise DomainExit(str(exc))
 
     return wrapper

@@ -552,8 +552,10 @@ class SubgroupLattice:
         subgroup is the AND over p of U_p at its p-component."""
         n = self.n
         tables, comps = self._tables, self._comps
+        down = None
         if len(tables) == 1:
-            up = tables[0].up  # a p-group's lattice is its table
+            # a p-group's lattice is its table, down masks included
+            up, down = tables[0].up, tables[0].down
         else:
             up = [(1 << n) - 1] * n
             for pos, t in enumerate(tables):
@@ -572,7 +574,7 @@ class SubgroupLattice:
         keys = [_component_type(tables, c) for c in comps]
         names = {key: type_name(key) for key in set(keys)}
         labels = _make_labels([names[key] for key in keys])
-        return FinitePoset(n, labels, up, validate=False)
+        return FinitePoset(n, labels, up, validate=False, down=down)
 
     @cached_property
     def _by_label(self):

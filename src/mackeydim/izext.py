@@ -55,8 +55,8 @@ def _cohomology_to_ext(coh):
     return {d + 2: v for d, v in coh.items()}
 
 
-def _open_mask(P, x, y):
-    return P.down[x] & P.up[y] & ~(1 << x) & ~(1 << y)
+def _open_mask(down, up, x, y):
+    return down[x] & up[y] & ~(1 << x) & ~(1 << y)
 
 
 def ext_dims(P, x, y):
@@ -73,7 +73,7 @@ def ext_dims(P, x, y):
         return {0: 1}
     if not P.leq(y, x):
         return {}
-    mask = posets.dismantle_mask(P, _open_mask(P, x, y))
+    mask = posets.dismantle_mask(P, _open_mask(P.down, P.up, x, y))
     cx = posets.order_complex(P, mask)
     return _cohomology_to_ext(qlinalg.reduced_cohomology_dims(cx))
 
@@ -90,8 +90,7 @@ def _table(P, dims):
     # Ext^*(S_x, S_y) vanishes unless y <= x, so only the bits of down[x] are
     # walked, in ascending order as a walk over all y would meet them
     table = {}
-    for x in range(P.n):
-        m = P.down[x]
+    for x, m in enumerate(P.down):
         while m:
             y = (m & -m).bit_length() - 1
             m &= m - 1
@@ -107,12 +106,13 @@ def ext_table(P):
     same interval mask share one computation.
     """
     seen = {}
+    down, up = P.down, P.up
 
     def dims(x, y):
         if x == y:
             # mask 0, the key of a cover, but Ext^0 rather than Ext^1
             return {0: 1}
-        key = _open_mask(P, x, y)
+        key = _open_mask(down, up, x, y)
         if key not in seen:
             seen[key] = ext_dims(P, x, y)
         return seen[key]

@@ -87,15 +87,15 @@ def _minimal_members(lattice, members):
     mask = 0
     for i in members:
         mask |= 1 << i
-    P = lattice.poset
-    return [i for i in members if P.down[i] & mask == (1 << i)]
+    down = lattice.poset.down
+    return [i for i in members if down[i] & mask == (1 << i)]
 
 
 def class_dim(partition, rep):
     """dim([H]^O): max prime-power factor count of H/K over minimal K.
 
     Also evaluates the all-pairs formulation (max over K <= L in the class)
-    and asserts the two agree.
+    and raises DiscrepancyError if the two disagree.
     """
     lattice = partition.system.lattice
     c = partition.class_of_representative(rep)

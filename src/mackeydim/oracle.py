@@ -44,7 +44,8 @@ class _Resolution:
         # (w, w') with w' covering w inside the down-set of x
         pairs = {}
         P = self.P
-        down_mask = P.down[self.x]
+        down = P.down
+        down_mask = down[self.x]
         for w in self.down:
             ups = P.up[w] & down_mask & ~(1 << w)
             covers = []
@@ -52,7 +53,7 @@ class _Resolution:
             while m:
                 j = (m & -m).bit_length() - 1
                 m &= m - 1
-                between = ups & (P.down[j] & ~(1 << j))
+                between = ups & (down[j] & ~(1 << j))
                 if between == 0:
                     covers.append(j)
             pairs[w] = covers

@@ -34,28 +34,37 @@ class FinitePoset:
     """Elements 0..n-1 with a reflexive, antisymmetric, transitive relation.
 
     up[i] is the bitmask of j with i <= j; down[i] the bitmask of j <= i.
+    A caller that already holds the down masks passes them as `down`;
+    otherwise they are transposed from `up` the first time `down` is read,
+    so a poset that is only walked upwards never builds them.
     """
 
-    __slots__ = ("n", "labels", "up", "down", "_covers", "_height")
+    __slots__ = ("n", "labels", "up", "_down", "_covers", "_height")
 
-    def __init__(self, n, labels, up, validate=True):
+    def __init__(self, n, labels, up, validate=True, down=None):
         self.n = n
         self.labels = tuple(labels)
         self.up = tuple(up)
         if len(self.labels) != n or len(self.up) != n:
             raise PosetError("label/relation size mismatch")
-        down = [0] * n
-        for i in range(n):
-            row = self.up[i]
-            while row:
-                j = (row & -row).bit_length() - 1
-                down[j] |= 1 << i
-                row &= row - 1
-        self.down = tuple(down)
+        self._down = None if down is None else tuple(down)
         self._covers = None
         self._height = None
         if validate:
             self._validate()
+
+    @property
+    def down(self):
+        if self._down is None:
+            down = [0] * self.n
+            for i, row in enumerate(self.up):
+                bit = 1 << i
+                while row:
+                    low = row & -row
+                    down[low.bit_length() - 1] |= bit
+                    row ^= low
+            self._down = tuple(down)
+        return self._down
 
     def _validate(self):
         n = self.n
@@ -118,6 +127,7 @@ class FinitePoset:
         """Transitive reduction as a sorted list of (lower, upper) pairs."""
         if self._covers is None:
             out = []
+            down = self.down
             for i in range(self.n):
                 strict = self.up[i] & ~(1 << i)
                 mask = strict
@@ -125,7 +135,7 @@ class FinitePoset:
                     j = (mask & -mask).bit_length() - 1
                     mask &= mask - 1
                     # j covers i iff nothing lies strictly between
-                    between = strict & (self.down[j] & ~(1 << j))
+                    between = strict & (down[j] & ~(1 << j))
                     if between == 0:
                         out.append((i, j))
             self._covers = sorted(out)
@@ -135,10 +145,11 @@ class FinitePoset:
         """Length in edges of the longest strict chain; 0 if discrete/empty."""
         if self._height is None:
             n = self.n
-            order = sorted(range(n), key=lambda i: bin(self.down[i]).count("1"))
+            down = self.down
+            order = sorted(range(n), key=lambda i: down[i].bit_count())
             h = [0] * n
             for i in order:
-                mask = self.down[i] & ~(1 << i)
+                mask = down[i] & ~(1 << i)
                 best = 0
                 while mask:
                     j = (mask & -mask).bit_length() - 1

@@ -11,16 +11,11 @@ tests/linalg_oracle.py.
 from __future__ import annotations
 
 __all__ = [
-    "QLinalgError",
     "IntEchelon",
     "kernel_basis_sparse",
     "reduced_cohomology_dims",
     "euler_characteristic_reduced",
 ]
-
-
-class QLinalgError(Exception):
-    pass
 
 
 def _xgcd(a, b):

@@ -9,6 +9,9 @@ of those arrows form a family S of subgroups that contains G and is closed
 under meets; every such S arises, and the system is read off S in closed
 form: into[h] = {s ^ h : s in S} (system_of_family).  The enumeration walks
 these families; `close` serves generator files, which may name any arrow.
+The walk and the enumerated systems read each meet image {h ^ s : s in S}
+off one table per lattice (_meet_images): two list lookups, one per half
+of the mask S, in place of a loop over the members of S.
 """
 
 from __future__ import annotations
@@ -59,14 +62,14 @@ def _meet_table(lattice):
     Subgroups are sorted by order, so the meet, which lies above the whole
     common down-set, is its highest-index member.
     """
-    P = lattice.poset
-    n = P.n
+    down = lattice.poset.down
+    n = len(down)
     table = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            common = P.down[a] & P.down[b]
+            common = down[a] & down[b]
             best = common.bit_length() - 1
-            if best < 0 or common & ~P.down[best]:
+            if best < 0 or common & ~down[best]:
                 raise TransferError("ambient poset is not a meet-semilattice")
             table[a][b] = table[b][a] = best
     return table
@@ -106,8 +109,7 @@ class TransferSystem:
         return all(o & ~s == 0 for s, o in zip(self.into, other.into))
 
     def is_complete(self):
-        P = self.lattice.poset
-        return all(self.into[h] == P.down[h] for h in range(P.n))
+        return self.into == self.lattice.poset.down
 
     def __eq__(self, other):
         return (
@@ -147,7 +149,7 @@ def close(lattice, generator_pairs, meets=None):
             )
         into[h] |= 1 << k
     meets = meets if meets is not None else _meet_table(lattice)
-    down_lists = [mask_indices(P.down[h]) for h in range(n)]
+    down_lists = [mask_indices(row) for row in P.down]
     changed = True
     while changed:
         changed = False
@@ -189,13 +191,13 @@ def close(lattice, generator_pairs, meets=None):
 
 def validate(T):
     """None when all axioms hold, else the first Violation found."""
-    P = T.lattice.poset
-    n = P.n
+    down = T.lattice.poset.down
+    n = len(down)
     lab = T.lattice.label
     for h in range(n):
         if not (T.into[h] >> h) & 1:
             return Violation("reflexivity", (h,), f"missing {lab(h)} -> {lab(h)}")
-        extra = T.into[h] & ~P.down[h]
+        extra = T.into[h] & ~down[h]
         if extra:
             k = mask_indices(extra)[0]
             return Violation(
@@ -218,7 +220,7 @@ def validate(T):
         ks = [k for k in mask_indices(T.into[h]) if k != h]
         if not ks:
             continue
-        for l in mask_indices(P.down[h]):
+        for l in mask_indices(down[h]):
             if l == h:
                 continue
             for k in ks:
@@ -306,9 +308,10 @@ def inseparability_classes(T):
     classes = [sorted(v) for v in groups.values()]
     classes.sort()
     reps = []
+    down = P.down
     for members in classes:
         mask = _mask(members)
-        maximal = [j for j in members if mask & ~P.down[j] == 0]
+        maximal = [j for j in members if mask & ~down[j] == 0]
         if len(maximal) != 1:
             raise TransferError(
                 "inseparability class lacks a unique maximal element"
@@ -336,12 +339,36 @@ def class_poset(partition, rep):
 _ENUMERATION_LIMIT = 16
 
 
+def _meet_images(meets):
+    """Lookup lists for the meet images {h ^ s : s in S} of family masks S.
+
+    A mask is split into its low `width` bits and the rest.  For each h,
+    lo[m] and hi[m] are the images of the members in the low and the high
+    half, so the image of S is lo[S & (2^width - 1)] | hi[S >> width].
+    Each list is filled by adding one member to an entry already filled;
+    under the 16-subgroup limit a half is at most a byte.
+    """
+    n = len(meets)
+    width = (n + 1) // 2
+
+    def lookup(row, base, bits):
+        out = [0] * (1 << bits)
+        for m in range(1, 1 << bits):
+            low = m & -m
+            out[m] = out[m ^ low] | 1 << row[base + low.bit_length() - 1]
+        return out
+
+    return width, [(lookup(row, 0, width), lookup(row, width, n - width)) for row in meets]
+
+
 def enumerate_disk_like(lattice):
     """All disk-like systems, sorted by their arrow masks, with their
     inclusion poset.
 
     Walks the meet-closed families S containing G from {G}: adding s to a
     meet-closed S and closing under meets gives S | {s ^ f : f in S}.
+    Each meet image, in the walk and in every system's into[h] = {h ^ s : s
+    in S} (as system_of_family builds it), is read off _meet_images.
     Inclusion of disk-like systems is inclusion of their families.  If
     S < S', then S | {x} is meet-closed for x minimal in S' - S, so the
     up-set of S is S plus the up-sets of its one-element extensions.
@@ -352,29 +379,38 @@ def enumerate_disk_like(lattice):
             f"disk-like enumeration budget exceeded: {n} > {_ENUMERATION_LIMIT} subgroups"
         )
     meets = _meet_table(lattice)
+    width, images = _meet_images(meets)
+    low = (1 << width) - 1
     top = lattice.top_index()
     seen = {1 << top}
     todo = list(seen)
     while todo:
         family = todo.pop()
-        members = mask_indices(family)
-        for s in range(n):
-            grown = family | _mask(meets[s][f] for f in members)
+        a, b = family & low, family >> width
+        for lo, hi in images:
+            grown = family | lo[a] | hi[b]
             if grown not in seen:
                 seen.add(grown)
                 todo.append(grown)
-    systems = sorted(
-        (system_of_family(lattice, family, meets) for family in seen),
-        key=lambda T: T.into,
-    )
-    families = [T.into[top] for T in systems]
+
+    def into(family):
+        a, b = family & low, family >> width
+        return tuple([lo[a] | hi[b] for lo, hi in images])
+
+    rows = sorted(into(family) for family in seen)
+    systems = [TransferSystem(lattice, row, meets) for row in rows]
+    families = [row[top] for row in rows]
     index = {f: a for a, f in enumerate(families)}
+    full = (1 << n) - 1
     up = [0] * len(families)
     # largest families first, so every one-element extension is done
     for a in sorted(range(len(families)), key=lambda a: -families[a].bit_count()):
         row = 1 << a
-        for x in mask_indices(~families[a] & ((1 << n) - 1)):
-            b = index.get(families[a] | 1 << x)
+        rest = ~families[a] & full
+        while rest:
+            x = rest & -rest
+            rest ^= x
+            b = index.get(families[a] | x)
             if b is not None:
                 row |= up[b]
         up[a] = row

@@ -4,9 +4,20 @@
   dismantle dismantles a whole poset: the restricted routes that
   `izext.ext_dims` avoids by walking intervals as masks of the parent.
 - poset_isomorphic is a backtracking isomorphism test.
+- transpose builds down masks from up masks one relation at a time, as
+  FinitePoset did eagerly before it built them on first read.
 """
 
 from mackeydim.posets import PosetError, dismantle_mask, mask_indices
+
+
+def transpose(up):
+    """down masks from up masks, one relation at a time."""
+    down = [0] * len(up)
+    for i, row in enumerate(up):
+        for j in mask_indices(row):
+            down[j] |= 1 << i
+    return tuple(down)
 
 
 def open_interval(P, x, y):

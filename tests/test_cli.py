@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from mackeydim import izext, mackey, oracle, posets, qlinalg, transfer
+from mackeydim import izext, mackey, oracle, posets, transfer
 from mackeydim.cli import main
 
 from conftest import FIXTURES
@@ -108,10 +108,9 @@ class TestGldimIA:
         assert "Traceback" not in res.output
 
     @pytest.mark.parametrize("error, code", [
-        (qlinalg.QLinalgError("elimination failed"), 3),
         (izext.IzextError("no section route"), 3),
         (izext.DiscrepancyError("routes disagree"), 4),
-    ], ids=["qlinalg", "izext", "discrepancy"])
+    ], ids=["izext", "discrepancy"])
     def test_errors_map_to_exit_codes(self, runner, monkeypatch, error, code):
         def fail(G):
             raise error

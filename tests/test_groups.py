@@ -37,6 +37,7 @@ from group_oracle import (
     trivial_subgroup,
 )
 from section_oracle import frattini_closed_form, quotient_type_key
+from poset_oracle import transpose
 
 
 class TestParse:
@@ -173,6 +174,23 @@ class TestProductLattice:
         assert [lat.order(i) for i in range(lat.n)] == [s.order for s in subs]
         assert list(lat.poset.up) == contains_lattice(subs), spec
         assert list(lat.poset.labels) == snf_labels(subs), spec
+
+    def test_p_group_poset_takes_the_table_down_masks(self):
+        # a p-group's poset is handed its table's down masks, which must be
+        # the transpose of its up masks
+        checked = 0
+        for n in range(2, 201):
+            for G in abelian_groups_of_order(n):
+                if len(G.primary_type()) != 1:
+                    continue
+                try:
+                    P = subgroup_lattice(G).poset
+                except BudgetExceededError:
+                    continue
+                assert P._down is not None, G
+                assert P.down == transpose(P.up), G
+                checked += 1
+        assert checked > 60
 
     def test_two_table_routes_agree(self):
         # element sets and HNF membership give the same up-masks on every

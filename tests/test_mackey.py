@@ -188,6 +188,21 @@ class TestScans:
         assert report["violations"] == []
         assert report["max_gldim"] == 1
 
+    def test_monotonicity_never_builds_the_inclusion_down(self, monkeypatch):
+        # the scan walks the inclusion poset upwards only
+        kept = []
+
+        def enumerate_and_keep(lattice):
+            systems, poset = enumerate_disk_like(lattice)
+            kept.append(poset)
+            return systems, poset
+
+        monkeypatch.setattr(transfer, "enumerate_disk_like", enumerate_and_keep)
+        for spec in ["C6", "C2xC4", "C2xC2xC2"]:
+            scan_monotonicity(groups.parse_group(spec))
+        assert len(kept) == 3
+        assert all(P._down is None for P in kept)
+
     def test_monotonicity_reports_every_violation(self, lattice_cache, monkeypatch):
         # a gldim that grows with the family makes every inclusion a violation
         monkeypatch.setattr(

@@ -18,7 +18,7 @@ from mackeydim.posets import (
 )
 
 from conftest import random_poset
-from poset_oracle import dismantle, open_interval, poset_isomorphic
+from poset_oracle import dismantle, open_interval, poset_isomorphic, transpose
 
 
 def diamond():
@@ -118,6 +118,14 @@ class TestConstruction:
     def test_covers_are_transitive_reduction(self):
         P = FinitePoset.from_covers(["a", "b", "c"], [(0, 1), (1, 2), (0, 2)])
         assert P.covers() == [(0, 1), (1, 2)]
+
+    def test_down_is_built_on_first_read(self, rng):
+        assert diamond().down == (0b0001, 0b0011, 0b0101, 0b1111)
+        for n in [0, 1, 2, 5, 9, 14, 20]:
+            P = random_poset(n, rng)
+            assert P._down is None
+            assert P.down == transpose(P.up)
+            assert P._down is P.down
 
 
 class TestInterval:

@@ -14,6 +14,7 @@ from mackeydim.transfer import (
     inseparability_classes,
     parse_generator_lines,
     require_disk_like,
+    system_of_family,
     validate,
 )
 
@@ -380,7 +381,8 @@ class TestEnumerate:
         ]
 
     @pytest.mark.parametrize(
-        "spec,count", [("C4xC4", 2036), ("C2xC2xC2", 3616), ("C2xC5xC5", 5625)]
+        "spec,count",
+        [("C4xC4", 2036), ("C2xC2xC2", 3616), ("C2xC4xC3", 3084), ("C2xC5xC5", 5625)],
     )
     def test_counts_on_large_lattices(self, lattice_cache, spec, count):
         # counts given by closing every subset of arrows into G
@@ -391,6 +393,24 @@ class TestEnumerate:
         for T in systems:
             assert validate(T) is None
             require_disk_like(T)
+
+    def test_into_rows_match_system_of_family(self):
+        # the meet-image tables against the loop over the family's members,
+        # on every lattice of |G| <= 100 with at most 16 subgroups
+        specs = set()
+        for order in range(1, 101):
+            for G in groups.abelian_groups_of_order(order):
+                try:
+                    lat = groups.subgroup_lattice(G, max_count=16)
+                except BudgetExceededError:
+                    continue
+                specs.add(G.spec_string())
+                systems, _ = enumerate_disk_like(lat)
+                meets = transfer._meet_table(lat)
+                top = lat.top_index()
+                for T in systems:
+                    assert T.into == system_of_family(lat, T.into[top], meets).into
+        assert {"C4xC4", "C2xC2xC2", "C2xC4xC3", "C2xC5xC5"} <= specs
 
     def test_budget(self, lattice_cache):
         lat = lattice_cache("C2xC2xC4")
