@@ -5,11 +5,23 @@ consulted anywhere in this module.
 Resolutions are summand-symbolic: projectives are sums of representables and
 differentials are stored per summand as a single vector.  Multiplicities of
 the minimal resolution of S_x read off dim Ext^n(S_x, S_y).
+
+Three kinds of repeated work are skipped, none of which changes a
+multiplicity or an audit:
+- each element's kernel is continued from the saved echelon of its widest
+  cover, so only the columns that cover lacks are reduced (`_syzygy`);
+- the top of a syzygy is tested in those new columns only (`_cover_step`);
+- `ext_table_oracle` resolves each distinct down-set once per call: the
+  resolution of S_x reads only the order on down(x).
+The route that recomputes every kernel and top from scratch and resolves
+every simple on its own is the reference in tests/resolution_oracle.py.
 """
 
 from __future__ import annotations
 
-from . import qlinalg
+from collections import namedtuple
+
+from . import posets, qlinalg
 
 __all__ = [
     "OracleError",
@@ -23,6 +35,12 @@ class OracleError(Exception):
     pass
 
 
+# The syzygy at one element z: `basis` is a Z-basis of its kernel K(z), the
+# basis of K(widest) followed by `new`; restricted to the columns in `extra`,
+# K(widest) vanishes and span(new) maps injectively.
+_Kernel = namedtuple("_Kernel", "basis new extra widest")
+
+
 class _Resolution:
     """Minimal projective resolution of S_x over IA(P), summand-symbolic.
 
@@ -30,50 +48,50 @@ class _Resolution:
     differential vector of a step-n summand at y is an integer vector over
     the step-(n-1) summands s with y <= y_s, stored as {s: coeff} and valid
     unchanged at every element below y.  Kernels and cover tops are exact.
+    Only the order on down(x) is read, in ascending index order.
     """
 
     def __init__(self, P, x, max_len):
         self.P = P
         self.x = x
         self.max_len = max_len
-        self.down = [z for z in range(P.n) if P.leq(z, x)]
-        self.cover_pairs = self._cover_pairs()
+        self.down = posets.mask_indices(P.down[x])
+        self.covers = self._covers()
+        # every cover of z has a larger down-set, so it comes before z
+        self.top_down = sorted(self.down, key=lambda z: -P.down[z].bit_count())
         self.multiplicities = []
 
-    def _cover_pairs(self):
-        # (w, w') with w' covering w inside the down-set of x
-        pairs = {}
+    def _covers(self):
+        # the elements covering w inside the down-set of x
+        covers = {}
         P = self.P
         down = P.down
         down_mask = down[self.x]
         for w in self.down:
             ups = P.up[w] & down_mask & ~(1 << w)
-            covers = []
-            m = ups
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                between = ups & (down[j] & ~(1 << j))
-                if between == 0:
-                    covers.append(j)
-            pairs[w] = covers
-        return pairs
+            covers[w] = [j for j in posets.mask_indices(ups)
+                         if not ups & down[j] & ~(1 << j)]
+        return covers
 
     def run(self):
         # step 0: P_0 = R_x covering S_x
-        summands = [(self.x, None)]
-        self.multiplicities.append({self.x: 1})
-        # Omega_1(z) = ker(P_0(z) -> S_x(z)): everything below x, nothing at x
-        omega = {}
+        x = self.x
+        summands = [(x, None)]
+        self.multiplicities.append({x: 1})
+        # Omega_1(z) = ker(P_0(z) -> S_x(z)): everything below x, nothing at
+        # x.  It is new, seen in column 0, at the elements x covers; below
+        # any other element it is that element's covers'
+        unit = {0: 1}
+        omega = {x: _Kernel([], [], set(), None)}
         for z in self.down:
-            if z == self.x:
-                omega[z] = []
-            else:
-                omega[z] = [{0: 1}]
+            if z != x:
+                covers = self.covers[z]
+                if x in covers:
+                    omega[z] = _Kernel([unit], [unit], {0}, x)
+                else:
+                    omega[z] = _Kernel([unit], [], set(), covers[0])
         degree = 0
-        while True:
-            if all(not v for v in omega.values()):
-                break
+        while any(kern.basis for kern in omega.values()):
             degree += 1
             if degree > self.max_len:
                 raise OracleError(
@@ -81,68 +99,104 @@ class _Resolution:
                 )
             new_summands, mult = self._cover_step(omega)
             self.multiplicities.append(mult)
-            omega = self._syzygy(summands, new_summands, omega)
+            omega = self._syzygy(len(summands), new_summands, omega)
             summands = new_summands
         return self.multiplicities
 
     def _cover_step(self, omega):
-        """Choose top lifts of omega per element; returns new summands."""
+        """Lift a basis of the top of omega at each element; the new summands.
+
+        The top at z is K(z) / rad(z), with rad(z) the sum of K(w) over the
+        covers w of z.  K(widest) lies in rad(z), so the top is
+        (K(widest) + span N) / rad(z), N = omega[z].new.  Restricting to the
+        columns in omega[z].extra kills K(widest) and is injective on span N,
+        so it carries that quotient isomorphically onto the restrictions of N
+        modulo those of the other covers' kernels.  The greedy complement is
+        taken there: each chosen vector of N is independent of the radical
+        rows and of the vectors chosen before it, so the chosen vectors lift
+        a basis of the top and the cover is surjective and minimal by
+        construction.  Where no other cover's kernel meets those columns, the
+        top is all of N and no echelon is built.
+        """
         new_summands = []
         mult = {}
-        for z in sorted(self.down):
-            vecs = omega[z]
-            if not vecs:
+        for z in self.down:
+            kern = omega[z]
+            if not kern.new:
                 continue
-            rad_rows = []
-            for w in self.cover_pairs[z]:
-                rad_rows.extend(omega[w])
-            chosen = self._top_complement(vecs, rad_rows)
+            extra = kern.extra
+            ech = None
+            for w in self.covers[z]:
+                if w == kern.widest:
+                    continue
+                for v in omega[w].basis:
+                    row = {c: a for c, a in v.items() if c in extra}
+                    if row:
+                        if ech is None:
+                            ech = qlinalg.IntEchelon()
+                        ech.add(row)
+            if ech is None:
+                chosen = kern.new
+            else:
+                chosen = [v for v in kern.new
+                          if ech.add({c: a for c, a in v.items() if c in extra})]
             if chosen:
                 mult[z] = len(chosen)
-                for v in chosen:
-                    new_summands.append((z, v))
+                new_summands += [(z, v) for v in chosen]
         return new_summands, mult
 
-    def _top_complement(self, basis_vecs, rad_rows):
-        """Basis vectors completing the radical span, greedily and exactly.
+    def _syzygy(self, height, summands, prev_omega):
+        """Exact kernels of the differential at every element, with audits.
 
-        Each chosen vector is independent of the radical rows and of the
-        vectors chosen before it, so the chosen vectors lift a basis of the
-        top: the cover is surjective and minimal by construction.
+        The columns at z are the summands based at or above z, and those of
+        a cover w are among them.  Elements are visited top-down; z copies
+        the saved `KernelEchelon` of its widest cover and adds only the
+        columns that cover lacks.  That is the kernel echelon of z's columns
+        in that order, so K(z) is K(widest) plus the new relations N, each
+        with a nonzero coefficient at its own new column and its other
+        coefficients on columns added before it.  A saved echelon is never
+        extended, only copied.
         """
-        if not rad_rows:
-            return list(basis_vecs)
-        # the echelon reduces rows in place, so it is fed copies
-        ech = qlinalg.IntEchelon()
-        for v in rad_rows:
-            ech.add(dict(v))
-        return [v for v in basis_vecs if ech.add(dict(v))]
-
-    def _syzygy(self, prev_summands, summands, prev_omega):
-        """Exact kernels of the differential at every element, with audits."""
-        P = self.P
+        up = self.P.up
+        by_base = {}
+        for t, (y, _v) in enumerate(summands):
+            by_base.setdefault(y, []).append(t)
+        bases = 0
+        for y in by_base:
+            bases |= 1 << y
+        ncols = {}
         omega = {}
-        for z in self.down:
-            up_z = P.up[z]
-            cols = [t for t, (y, _v) in enumerate(summands) if up_z >> y & 1]
-            if not cols:
-                if prev_omega[z]:
-                    raise OracleError("cover misses an element with nonzero syzygy")
-                omega[z] = []
-                continue
-            # a summand's vector is valid unchanged at every element below
-            # its base, so it is the summand's column of the differential at z
-            columns = [summands[t][1] for t in cols]
-            kern = qlinalg.kernel_basis_sparse(columns, len(prev_summands))
+        saved = {}
+        for z in self.top_down:
+            covers = self.covers[z]
+            if covers:
+                widest = max(covers, key=ncols.__getitem__)
+                ech, basis, seen = saved[widest], omega[widest].basis, up[widest] & bases
+            else:
+                widest, ech, basis, seen = None, qlinalg.KernelEchelon(height), [], 0
+            extra = [t for y in posets.mask_indices(up[z] & bases & ~seen) for t in by_base[y]]
+            ncols[z] = (ncols[widest] if covers else 0) + len(extra)
+            new = []
+            if extra:
+                ech = ech.copy()
+                for t in extra:
+                    relation = ech.add(summands[t][1], t)
+                    if relation is not None:
+                        new.append(relation)
+                basis = basis + new
+            saved[z] = ech
+            if not ncols[z] and prev_omega[z].basis:
+                raise OracleError("cover misses an element with nonzero syzygy")
             # exactness audit: the cover step spans the previous syzygy, so
             # dim ker + dim image = dim source
-            if len(kern) != len(cols) - len(prev_omega[z]):
+            if len(basis) != ncols[z] - len(prev_omega[z].basis):
                 raise OracleError("exactness audit failed at an element")
-            # minimality audit: kernel coordinates on summands based at z vanish
-            for vec in kern:
-                if any(summands[cols[j]][0] == z for j in vec):
+            # minimality audit: kernel coordinates on summands based at z
+            # vanish; those summands are not among the widest cover's columns
+            for t in by_base.get(z, ()):
+                if any(t in relation for relation in new):
                     raise OracleError("cover is not minimal: kernel meets the top")
-            omega[z] = [{cols[j]: v for j, v in vec.items()} for vec in kern]
+            omega[z] = _Kernel(basis, new, set(extra), widest)
         return omega
 
 
@@ -160,22 +214,42 @@ def minimal_resolution(P, x, max_len=None):
 
 
 def gldim_oracle(P, max_len=None):
-    """max over x of the length of the minimal resolution of S_x."""
+    """max over x of the length of the minimal resolution of S_x: the top
+    degree of ext_table_oracle(P)."""
     if P.n == 0:
         raise OracleError("global dimension of the empty poset is undefined")
-    best = 0
-    for x in range(P.n):
-        mults = minimal_resolution(P, x, max_len=max_len)
-        best = max(best, len(mults) - 1)
-    return best
+    return max(n for _x, _y, n in ext_table_oracle(P, max_len))
+
+
+def _relabelled_order(P, x):
+    """down(x) in ascending index order, and the order on it relabelled to
+    positions in that list: the up rows, as masks of positions.  The
+    resolution of S_x reads nothing else of P."""
+    mask = P.down[x]
+    down = posets.mask_indices(mask)
+    pos = {z: i for i, z in enumerate(down)}
+    return down, tuple(sum(1 << pos[u] for u in posets.mask_indices(P.up[z] & mask))
+                       for z in down)
 
 
 def ext_table_oracle(P, max_len=None):
-    """All nonzero dim Ext^n(S_x, S_y) as {(x, y, n): dim}, by resolutions."""
+    """All nonzero dim Ext^n(S_x, S_y) as {(x, y, n): dim}, by resolutions.
+
+    Simples whose down-sets carry the same relabelled order share one
+    resolution within the call.
+    """
+    resolved = {}  # relabelled order on down(x) -> multiplicities by position
     entries = {}
     for x in range(P.n):
-        mults = minimal_resolution(P, x, max_len=max_len)
+        down, key = _relabelled_order(P, x)
+        mults = resolved.get(key)
+        if mults is None:
+            pos = {z: i for i, z in enumerate(down)}
+            mults = resolved[key] = [
+                {pos[y]: m for y, m in level.items()}
+                for level in minimal_resolution(P, x, max_len=max_len)
+            ]
         for n, level in enumerate(mults):
-            for y, m in sorted(level.items()):
-                entries[(x, y, n)] = m
+            for i, m in sorted(level.items()):
+                entries[(x, down[i], n)] = m
     return entries

@@ -1,18 +1,19 @@
 """Exact integer linear algebra: one elimination engine.
 
 Every rank and kernel is exact integer elimination, and all of them go
-through one engine, the sparse unimodular row echelon `IntEchelon`.  No
-floating point and no modular arithmetic is involved anywhere.  The dense
-Bareiss and rational references, the Hermite and Smith normal forms and
-Bareiss homology, which tests compare the engine against, live in
-tests/linalg_oracle.py.
+through one engine, the sparse unimodular row echelon `IntEchelon`;
+`KernelEchelon` runs it on columns, one at a time and resumably, for
+integer kernels.  No floating point and no modular arithmetic is involved
+anywhere.  The dense Bareiss and rational references, the Hermite and Smith
+normal forms, Bareiss homology and the one-shot `kernel_basis_sparse`,
+which tests compare the engine against, live in tests/linalg_oracle.py.
 """
 
 from __future__ import annotations
 
 __all__ = [
     "IntEchelon",
-    "kernel_basis_sparse",
+    "KernelEchelon",
     "reduced_cohomology_dims",
     "euler_characteristic_reduced",
 ]
@@ -113,6 +114,17 @@ class IntEchelon:
     def rank(self):
         return len(self.rows)
 
+    def copy(self):
+        """An independent echelon with the same pivots.
+
+        Pivots are copied too: `reduce` size-reduces and replaces them in
+        place, so a shared pivot would change the echelon it was copied from.
+        """
+        new = IntEchelon()
+        new.rows = {lead: dict(row) for lead, row in self.rows.items()}
+        new._big = set(self._big)
+        return new
+
 
 def _axpy(row, q, other):
     """row += q * other, in place, dropping zero entries."""
@@ -129,26 +141,47 @@ def _axpy(row, q, other):
 # ---------------------------------------------------------------------------
 
 
-def kernel_basis_sparse(columns, height):
-    """Z-basis of the integer relations among sparse columns {row: value}.
+class KernelEchelon:
+    """Z-basis of the integer relations among sparse columns {row: value},
+    found one column at a time.
 
-    Each column is echelonned together with its unit vector, tagged at
-    position height + j past every row index.  A column whose row part
-    vanishes leaves its tag part as a relation, and because every step is
-    unimodular those relations are a Z-basis of the kernel, not merely a
-    Q-basis.  Relations are returned as {column index: coefficient}.
+    Each column is echelonned together with a unit vector at its tag, placed
+    at position height + tag past every row index (tags are distinct
+    non-negative integers).  A column whose row part vanishes leaves its tag
+    part as a relation, and because every step is unimodular the relations
+    found so far are a Z-basis of the kernel of the columns added so far,
+    not merely a Q-basis.  Only pivots with a row-part lead are kept, so a
+    tag never leads a pivot and the order of the tags does not matter.
+
+    `copy` saves the state: adding the remaining columns to a copy gives the
+    relations of the concatenated column list, and the original is unchanged.
     """
-    ech = IntEchelon()
-    kernel = []
-    for j, col in enumerate(columns):
-        row = dict(col)
-        row[height + j] = 1
-        lead = ech.reduce(row)
+
+    __slots__ = ("height", "_ech")
+
+    def __init__(self, height):
+        self.height = height
+        self._ech = IntEchelon()
+
+    def add(self, column, tag):
+        """Add `column` under `tag`; its new relation {tag: coeff}, or None.
+
+        A relation has a nonzero coefficient at `tag` itself, and its other
+        tags are those of columns added before.
+        """
+        height = self.height
+        row = dict(column)
+        row[height + tag] = 1
+        lead = self._ech.reduce(row)
         if lead < height:
-            ech._keep(lead, row)
-        else:
-            kernel.append({c - height: v for c, v in row.items()})
-    return kernel
+            self._ech._keep(lead, row)
+            return None
+        return {c - height: v for c, v in row.items()}
+
+    def copy(self):
+        new = KernelEchelon(self.height)
+        new._ech = self._ech.copy()
+        return new
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 - hnf_columns and smith_normal_form are the Hermite and Smith normal forms
   behind the HNF subgroup bases and the Smith-form section types of
   `group_oracle`.
-- kernel_basis_int is `qlinalg.kernel_basis_sparse` on a dense matrix.
+- kernel_basis_sparse is `qlinalg.KernelEchelon` fed a whole column list
+  in one go, and kernel_basis_int is it on a dense matrix.
 - reduced_homology_dims ranks the boundary maps by Bareiss elimination, the
   reference for the coboundary route of `qlinalg.reduced_cohomology_dims`.
 """
@@ -14,7 +15,7 @@
 from fractions import Fraction
 from math import gcd
 
-from mackeydim.qlinalg import IntEchelon, _xgcd, kernel_basis_sparse
+from mackeydim.qlinalg import IntEchelon, KernelEchelon, _xgcd
 
 
 def clear_denominators(rows):
@@ -217,6 +218,18 @@ def smith_normal_form(rows):
                 g = gcd(a, b)
                 diag[i], diag[j] = g, a // g * b
     return diag
+
+
+def kernel_basis_sparse(columns, height):
+    """Z-basis of the integer relations among sparse columns {row: value}
+    with row indices below height, as {column index: coefficient}."""
+    ech = KernelEchelon(height)
+    kernel = []
+    for j, col in enumerate(columns):
+        relation = ech.add(col, j)
+        if relation is not None:
+            kernel.append(relation)
+    return kernel
 
 
 def kernel_basis_int(rows, ncols=None):

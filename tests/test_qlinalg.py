@@ -14,6 +14,7 @@ from linalg_oracle import (
     gauss_rank,
     hnf_columns,
     kernel_basis_int,
+    kernel_basis_sparse,
     reduced_homology_dims,
     smith_normal_form,
 )
@@ -137,6 +138,69 @@ class TestKernel:
         # of (3, 2) is spanned over Z by +-(2, -3) and by nothing larger
         basis = kernel_basis_int([[3, 2]], 2)
         assert basis in ([[2, -3]], [[-2, 3]])
+
+
+def sparse_columns_strategy(max_entry=9):
+    """(height, sparse columns {row: value} with rows below height, split)."""
+    column = st.dictionaries(st.integers(0, 5), st.integers(-max_entry, max_entry)
+                             .filter(bool), max_size=6)
+    return st.tuples(st.lists(column, max_size=12), st.integers(0, 12))
+
+
+def _state(ech):
+    """A snapshot of an echelon's pivots, for checking it is left unchanged."""
+    return {lead: dict(row) for lead, row in ech._ech.rows.items()}
+
+
+class TestKernelEchelon:
+    @given(sparse_columns_strategy())
+    @settings(max_examples=200, deadline=None)
+    def test_copy_resumes_the_one_shot_kernel(self, case):
+        columns, split = case
+        split = min(split, len(columns))
+        ech = qlinalg.KernelEchelon(6)
+        head = [rel for j, col in enumerate(columns[:split])
+                if (rel := ech.add(col, j)) is not None]
+        resumed = ech.copy()
+        tail = [rel for j, col in enumerate(columns[split:], split)
+                if (rel := resumed.add(col, j)) is not None]
+        assert head + tail == kernel_basis_sparse(columns, 6)
+
+    def test_copied_state_is_left_unchanged(self, monkeypatch):
+        # dense columns with entries up to +-9 make the extended copy
+        # size-reduce and replace pivots it shares no dict with
+        calls = [0]
+        original = qlinalg.IntEchelon._size_reduce
+
+        def counting(ech, piv, lead):
+            calls[0] += 1
+            return original(ech, piv, lead)
+
+        monkeypatch.setattr(qlinalg.IntEchelon, "_size_reduce", counting)
+        rng = random.Random(7)
+        for _ in range(100):
+            height, n = rng.randint(2, 6), rng.randint(2, 10)
+            columns = [{i: v for i in range(height) if (v := rng.randint(-9, 9))}
+                       for _ in range(n)]
+            split = rng.randint(1, n - 1)
+            ech = qlinalg.KernelEchelon(height)
+            for j in range(split):
+                ech.add(columns[j], j)
+            before = _state(ech)
+            resumed = ech.copy()
+            tail = [resumed.add(columns[j], j) for j in range(split, n)]
+            assert _state(ech) == before
+            # the saved state still resumes to the same relations
+            again = ech.copy()
+            assert [again.add(columns[j], j) for j in range(split, n)] == tail
+            assert _state(ech) == before
+        assert calls[0] > 0
+
+    def test_tags_place_relations(self):
+        # relations are keyed by tag, whatever the order the tags come in
+        ech = qlinalg.KernelEchelon(1)
+        assert ech.add({0: 2}, 7) is None
+        assert ech.add({0: 3}, 4) in ({7: 3, 4: -2}, {7: -3, 4: 2})
 
 
 def _complex_of(P):
