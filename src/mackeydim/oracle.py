@@ -19,8 +19,6 @@ every simple on its own is the reference in tests/resolution_oracle.py.
 
 from __future__ import annotations
 
-from collections import namedtuple
-
 from . import posets, qlinalg
 
 __all__ = [
@@ -35,12 +33,6 @@ class OracleError(Exception):
     pass
 
 
-# The syzygy at one element z: `basis` is a Z-basis of its kernel K(z), the
-# basis of K(widest) followed by `new`; restricted to the columns in `extra`,
-# K(widest) vanishes and span(new) maps injectively.
-_Kernel = namedtuple("_Kernel", "basis new extra widest")
-
-
 class _Resolution:
     """Minimal projective resolution of S_x over IA(P), summand-symbolic.
 
@@ -49,29 +41,26 @@ class _Resolution:
     the step-(n-1) summands s with y <= y_s, stored as {s: coeff} and valid
     unchanged at every element below y.  Kernels and cover tops are exact.
     Only the order on down(x) is read, in ascending index order.
+
+    A syzygy is `omega`, {z: Z-basis of its kernel K(z)}, with `fresh`,
+    {z: (N, extra, widest)} for the elements z where K(z) is more than the
+    kernel of its widest cover: omega[z] is omega[widest] followed by the
+    new relations N, and restricted to the columns in `extra`, K(widest)
+    vanishes and span N maps injectively.
     """
 
     def __init__(self, P, x, max_len):
         self.P = P
         self.x = x
         self.max_len = max_len
-        self.down = posets.mask_indices(P.down[x])
-        self.covers = self._covers()
+        down_mask = P.down[x]
+        self.down = posets.mask_indices(down_mask)
+        # the covers of w inside the down-set of x are its covers in P
+        above = _upper_covers(P)
+        self.covers = {w: posets.mask_indices(above[w] & down_mask) for w in self.down}
         # every cover of z has a larger down-set, so it comes before z
         self.top_down = sorted(self.down, key=lambda z: -P.down[z].bit_count())
         self.multiplicities = []
-
-    def _covers(self):
-        # the elements covering w inside the down-set of x
-        covers = {}
-        P = self.P
-        down = P.down
-        down_mask = down[self.x]
-        for w in self.down:
-            ups = P.up[w] & down_mask & ~(1 << w)
-            covers[w] = [j for j in posets.mask_indices(ups)
-                         if not ups & down[j] & ~(1 << j)]
-        return covers
 
     def run(self):
         # step 0: P_0 = R_x covering S_x
@@ -82,63 +71,57 @@ class _Resolution:
         # x.  It is new, seen in column 0, at the elements x covers; below
         # any other element it is that element's covers'
         unit = {0: 1}
-        omega = {x: _Kernel([], [], set(), None)}
-        for z in self.down:
-            if z != x:
-                covers = self.covers[z]
-                if x in covers:
-                    omega[z] = _Kernel([unit], [unit], {0}, x)
-                else:
-                    omega[z] = _Kernel([unit], [], set(), covers[0])
+        omega = {z: [] if z == x else [unit] for z in self.down}
+        fresh = {z: ([unit], {0}, x) for z in self.down if x in self.covers[z]}
         degree = 0
-        while any(kern.basis for kern in omega.values()):
+        while any(omega.values()):
             degree += 1
             if degree > self.max_len:
                 raise OracleError(
                     f"resolution did not terminate within {self.max_len} steps"
                 )
-            new_summands, mult = self._cover_step(omega)
+            new_summands, mult = self._cover_step(omega, fresh)
             self.multiplicities.append(mult)
-            omega = self._syzygy(len(summands), new_summands, omega)
+            omega, fresh = self._syzygy(len(summands), new_summands, omega)
             summands = new_summands
         return self.multiplicities
 
-    def _cover_step(self, omega):
+    def _cover_step(self, omega, fresh):
         """Lift a basis of the top of omega at each element; the new summands.
 
         The top at z is K(z) / rad(z), with rad(z) the sum of K(w) over the
         covers w of z.  K(widest) lies in rad(z), so the top is
-        (K(widest) + span N) / rad(z), N = omega[z].new.  Restricting to the
-        columns in omega[z].extra kills K(widest) and is injective on span N,
-        so it carries that quotient isomorphically onto the restrictions of N
-        modulo those of the other covers' kernels.  The greedy complement is
-        taken there: each chosen vector of N is independent of the radical
-        rows and of the vectors chosen before it, so the chosen vectors lift
-        a basis of the top and the cover is surjective and minimal by
-        construction.  Where no other cover's kernel meets those columns, the
-        top is all of N and no echelon is built.
+        (K(widest) + span N) / rad(z), and it is 0 where z is not fresh.
+        Restricting to the columns in `extra` kills K(widest) and is
+        injective on span N, so it carries that quotient isomorphically onto
+        the restrictions of N modulo those of the other covers' kernels.  The
+        greedy complement is taken there: each chosen vector of N is
+        independent of the radical rows and of the vectors chosen before it,
+        so the chosen vectors lift a basis of the top and the cover is
+        surjective and minimal by construction.  Where no other cover's
+        kernel meets those columns, the top is all of N and no echelon is
+        built.
         """
         new_summands = []
         mult = {}
         for z in self.down:
-            kern = omega[z]
-            if not kern.new:
+            if z not in fresh:
                 continue
-            extra = kern.extra
+            new, extra, widest = fresh[z]
             ech = None
             for w in self.covers[z]:
-                if w == kern.widest:
+                if w == widest:
                     continue
-                for v in omega[w].basis:
+                for v in omega[w]:
                     row = {c: a for c, a in v.items() if c in extra}
                     if row:
                         if ech is None:
                             ech = qlinalg.IntEchelon()
                         ech.add(row)
             if ech is None:
-                chosen = kern.new
+                chosen = new
             else:
-                chosen = [v for v in kern.new
+                chosen = [v for v in new
                           if ech.add({c: a for c, a in v.items() if c in extra})]
             if chosen:
                 mult[z] = len(chosen)
@@ -166,38 +149,41 @@ class _Resolution:
             bases |= 1 << y
         ncols = {}
         omega = {}
+        fresh = {}
         saved = {}
         for z in self.top_down:
             covers = self.covers[z]
             if covers:
                 widest = max(covers, key=ncols.__getitem__)
-                ech, basis, seen = saved[widest], omega[widest].basis, up[widest] & bases
+                ech, basis, seen = saved[widest], omega[widest], up[widest] & bases
             else:
                 widest, ech, basis, seen = None, qlinalg.KernelEchelon(height), [], 0
             extra = [t for y in posets.mask_indices(up[z] & bases & ~seen) for t in by_base[y]]
             ncols[z] = (ncols[widest] if covers else 0) + len(extra)
-            new = []
             if extra:
                 ech = ech.copy()
+                new = []
                 for t in extra:
                     relation = ech.add(summands[t][1], t)
                     if relation is not None:
                         new.append(relation)
-                basis = basis + new
+                if new:
+                    basis = basis + new
+                    fresh[z] = (new, set(extra), widest)
+                    # minimality audit: kernel coordinates on summands based
+                    # at z vanish; none is among the widest cover's columns
+                    for t in by_base.get(z, ()):
+                        if any(t in relation for relation in new):
+                            raise OracleError("cover is not minimal: kernel meets the top")
             saved[z] = ech
-            if not ncols[z] and prev_omega[z].basis:
+            omega[z] = basis
+            if not ncols[z] and prev_omega[z]:
                 raise OracleError("cover misses an element with nonzero syzygy")
             # exactness audit: the cover step spans the previous syzygy, so
             # dim ker + dim image = dim source
-            if len(basis) != ncols[z] - len(prev_omega[z].basis):
+            if len(basis) != ncols[z] - len(prev_omega[z]):
                 raise OracleError("exactness audit failed at an element")
-            # minimality audit: kernel coordinates on summands based at z
-            # vanish; those summands are not among the widest cover's columns
-            for t in by_base.get(z, ()):
-                if any(t in relation for relation in new):
-                    raise OracleError("cover is not minimal: kernel meets the top")
-            omega[z] = _Kernel(basis, new, set(extra), widest)
-        return omega
+        return omega, fresh
 
 
 def minimal_resolution(P, x, max_len=None):
@@ -221,14 +207,24 @@ def gldim_oracle(P, max_len=None):
     return max(n for _x, _y, n in ext_table_oracle(P, max_len))
 
 
-def _relabelled_order(P, x):
+def _upper_covers(P):
+    """For each element, the mask of the elements covering it."""
+    above = [0] * P.n
+    for lo, hi in P.covers():
+        above[lo] |= 1 << hi
+    return above
+
+
+def _relabelled_order(P, above, x):
     """down(x) in ascending index order, and the order on it relabelled to
-    positions in that list: the up rows, as masks of positions.  The
+    positions in that list, as the positions of each element's covers
+    (`above` is `_upper_covers(P)`).  The covers of an element of down(x)
+    inside it are its covers in P, and they determine the order.  The
     resolution of S_x reads nothing else of P."""
     mask = P.down[x]
     down = posets.mask_indices(mask)
     pos = {z: i for i, z in enumerate(down)}
-    return down, tuple(sum(1 << pos[u] for u in posets.mask_indices(P.up[z] & mask))
+    return down, tuple(tuple(pos[c] for c in posets.mask_indices(above[z] & mask))
                        for z in down)
 
 
@@ -238,10 +234,11 @@ def ext_table_oracle(P, max_len=None):
     Simples whose down-sets carry the same relabelled order share one
     resolution within the call.
     """
+    above = _upper_covers(P)
     resolved = {}  # relabelled order on down(x) -> multiplicities by position
     entries = {}
     for x in range(P.n):
-        down, key = _relabelled_order(P, x)
+        down, key = _relabelled_order(P, above, x)
         mults = resolved.get(key)
         if mults is None:
             pos = {z: i for i, z in enumerate(down)}

@@ -224,8 +224,9 @@ class TestOneResolutionPerDownSet:
 
     def test_equal_sizes_different_orders(self, monkeypatch):
         P = self.chain_and_diamond()
+        above = oracle._upper_covers(P)
         (chain, chain_key), (diamond, diamond_key) = (
-            oracle._relabelled_order(P, 3), oracle._relabelled_order(P, 6))
+            oracle._relabelled_order(P, above, 3), oracle._relabelled_order(P, above, 6))
         assert (chain, diamond) == ([0, 1, 2, 3], [0, 4, 5, 6])
         assert chain_key != diamond_key
         runs = self.count_runs(monkeypatch)
@@ -252,8 +253,8 @@ class TestAuditsStillRaise:
     def fault(self, monkeypatch, change):
         original = oracle._Resolution._cover_step
 
-        def faulty(res, omega):
-            new_summands, mult = original(res, omega)
+        def faulty(res, *syzygy):
+            new_summands, mult = original(res, *syzygy)
             return change(new_summands), mult
 
         monkeypatch.setattr(oracle._Resolution, "_cover_step", faulty)
