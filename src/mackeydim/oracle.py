@@ -163,6 +163,8 @@ class _Resolution:
             if extra:
                 ech = ech.copy()
                 new = []
+                # a summand's vector is valid unchanged at every element below
+                # its base, so it is the summand's column of the differential
                 for t in extra:
                     relation = ech.add(summands[t][1], t)
                     if relation is not None:

@@ -76,10 +76,11 @@ class TestMinimalResolution:
 
 
 class TestGldimOracle:
-    def test_top_degree_of_the_table(self, rng):
+    def test_top_degree_is_the_longest_resolution(self, rng):
         for _ in range(40):
             P = random_poset(rng.randint(1, 7), rng)
-            assert gldim_oracle(P) == max(n for _x, _y, n in ext_table_oracle(P))
+            assert gldim_oracle(P) == max(len(minimal_resolution(P, x)) - 1
+                                          for x in range(P.n))
 
     def test_empty_poset_and_max_len_guard(self, lattice_cache):
         with pytest.raises(OracleError, match="empty poset"):
