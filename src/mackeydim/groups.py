@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 from math import prod
 from operator import add, mod
 
-from .posets import FinitePoset
+from .posets import FinitePoset, transpose
 
 __all__ = [
     "GroupError",
@@ -211,17 +211,21 @@ def type_name(type_key):
 
 
 def _in_span(cols, v):
-    """Is integer vector v in the span of lower-triangular HNF columns?"""
+    """Is integer vector v in the span of lower-triangular HNF columns?
+
+    cols are the last len(cols) columns of such a basis: column t pivots
+    at row len(v) - len(cols) + t.
+    """
     k = len(v)
     v = list(v)
-    for j in range(k):
-        pivot = cols[j][j]
+    for j, col in enumerate(cols, start=k - len(cols)):
+        pivot = col[j]
         if v[j] % pivot:
             return False
         q = v[j] // pivot
         if q:
             for i in range(j, k):
-                v[i] -= q * cols[j][i]
+                v[i] -= q * col[i]
     return not any(v)
 
 
@@ -314,20 +318,7 @@ def _prime_block_bases(p, exps):
     # columns >= j (pairwise divisibility is not sufficient)
     results = []
     divisor_choices = [[p**a for a in range(e + 1)] for e in exps]
-
-    def span_check(cols_from_j, j):
-        v = [0] * m
-        v[j] = moduli[j]
-        for t, col in enumerate(cols_from_j):
-            jj = j + t
-            pivot = col[jj]
-            if v[jj] % pivot:
-                return False
-            q = v[jj] // pivot
-            if q:
-                for i in range(jj, m):
-                    v[i] -= q * col[i]
-        return not any(v)
+    units = [[moduli[j] if i == j else 0 for i in range(m)] for j in range(m)]
 
     def build(j, diag, suffix_cols):
         if j < 0:
@@ -341,7 +332,7 @@ def _prime_block_bases(p, exps):
             for i, v in zip(below, vals):
                 col[i] = v
             cols_from_j = [col] + suffix_cols
-            if span_check(cols_from_j, j):
+            if _in_span(cols_from_j, units[j]):
                 build(j - 1, diag, cols_from_j)
 
     for diag in iproduct(*divisor_choices):
@@ -371,18 +362,18 @@ def _primary_parts(G, max_order, max_count):
     return [(p, tuple(es), _prime_block_bases(p, tuple(es))) for p, es in sorted(ptype.items())]
 
 
-def _lattice_order(parts):
+def _lattice_order(tables):
     """(order, per-prime block indices) of every subgroup, in lattice order.
 
     G's factors are sorted by prime, so a subgroup's basis is block diagonal
     and its row-major flattening lists the primes' blocks in turn.  At a
     fixed order every block's order is fixed too, so sorting by (order,
-    block indices) is sorting by (order, row-major basis).
+    block indices) is sorting by (order, row-major basis).  A block's order
+    is p to the power of its table's size.
     """
     from itertools import product as iproduct
 
-    moduli = [[p**e for e in exps] for p, exps, _blocks in parts]
-    orders = [[_block_order(mod, b) for b in blocks] for mod, (_p, _e, blocks) in zip(moduli, parts)]
+    orders = [[t.p**size for size in t.sizes] for t in tables]
     keyed = []
     for comps in iproduct(*[range(len(o)) for o in orders]):
         order = 1
@@ -469,12 +460,7 @@ class _PrimeTable:
             self.up = up = _element_up_masks(moduli, blocks)
         else:
             self.up = up = _span_up_masks(sizes, blocks)
-        self.down = down = [0] * n
-        for i, row in enumerate(up):
-            while row:
-                j = (row & -row).bit_length() - 1
-                row &= row - 1
-                down[j] |= 1 << i
+        self.down = down = transpose(up)
         by_size = {}
         for j, s in enumerate(sizes):
             by_size[s] = by_size.get(s, 0) | 1 << j
@@ -533,13 +519,12 @@ class SubgroupLattice:
 
     def __init__(self, group, parts):
         self.group = group
-        self._parts = parts
         self._tables = [_PrimeTable(p, exps, blocks) for p, exps, blocks in parts]
         self.n = prod(len(t.sizes) for t in self._tables)
 
     @cached_property
     def _keyed(self):
-        return _lattice_order(self._parts)
+        return _lattice_order(self._tables)
 
     @cached_property
     def _comps(self):

@@ -20,6 +20,7 @@ __all__ = [
     "product",
     "dismantle_mask",
     "mask_indices",
+    "transpose",
     "parse_poset_text",
     "poset_to_text",
     "hasse_dot",
@@ -56,14 +57,7 @@ class FinitePoset:
     @property
     def down(self):
         if self._down is None:
-            down = [0] * self.n
-            for i, row in enumerate(self.up):
-                bit = 1 << i
-                while row:
-                    low = row & -row
-                    down[low.bit_length() - 1] |= bit
-                    row ^= low
-            self._down = tuple(down)
+            self._down = tuple(transpose(self.up))
         return self._down
 
     def _validate(self):
@@ -250,14 +244,27 @@ def mask_indices(mask):
     return out
 
 
-def product(P, Q, label_sep="|"):
-    """Componentwise order on pairs; labels concatenated with a separator."""
+def transpose(rows):
+    """The transposed relation of n masks on n elements: bit i of out[j] is
+    bit j of rows[i].  A poset's down masks are the transpose of its up masks."""
+    out = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return out
+
+
+def product(P, Q):
+    """Componentwise order on pairs; labels joined by `|`."""
     labels = []
     up = []
     nq = Q.n
     for i in range(P.n):
         for j in range(Q.n):
-            labels.append(f"{P.labels[i]}{label_sep}{Q.labels[j]}")
+            labels.append(f"{P.labels[i]}|{Q.labels[j]}")
             rowp = P.up[i]
             row = 0
             mp = rowp

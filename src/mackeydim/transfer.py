@@ -2,7 +2,8 @@
 
 A transfer system is stored as per-target bitmasks: into[h] is the set of k
 with an arrow k -> h.  Closure, validation, disk-likeness, inseparability
-classes and the disk-like enumeration all operate on these masks.
+classes and the disk-like enumeration all operate on these masks.  Each
+meet is read where it is used, off the lattice's down masks (_meet).
 
 A disk-like system is the one generated by its arrows into G.  The sources
 of those arrows form a family S of subgroups that contains G and is closed
@@ -56,23 +57,17 @@ class Violation:
         return f"Violation({self.kind}: {self.message})"
 
 
-def _meet_table(lattice):
-    """meets[a][b] = a ^ b: the highest set bit of down[a] & down[b].
+def _meet(down, a, b):
+    """a ^ b: the highest set bit of down[a] & down[b].
 
     Subgroups are sorted by order, so the meet, which lies above the whole
     common down-set, is its highest-index member.
     """
-    down = lattice.poset.down
-    n = len(down)
-    table = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            common = down[a] & down[b]
-            best = common.bit_length() - 1
-            if best < 0 or common & ~down[best]:
-                raise TransferError("ambient poset is not a meet-semilattice")
-            table[a][b] = table[b][a] = best
-    return table
+    common = down[a] & down[b]
+    best = common.bit_length() - 1
+    if best < 0 or common & ~down[best]:
+        raise TransferError("ambient poset is not a meet-semilattice")
+    return best
 
 
 class TransferSystem:
@@ -82,18 +77,12 @@ class TransferSystem:
     it), so require_disk_like does not repeat it.
     """
 
-    __slots__ = ("lattice", "into", "_meets", "validated")
+    __slots__ = ("lattice", "into", "validated")
 
-    def __init__(self, lattice, into, meets=None):
+    def __init__(self, lattice, into):
         self.lattice = lattice
         self.into = tuple(into)
-        self._meets = meets
         self.validated = False
-
-    def meets(self):
-        if self._meets is None:
-            self._meets = _meet_table(self.lattice)
-        return self._meets
 
     def arrows(self):
         return [(k, h) for h, row in enumerate(self.into) for k in mask_indices(row)]
@@ -132,56 +121,33 @@ def _mask(indices):
     return out
 
 
-def close(lattice, generator_pairs, meets=None):
+def close(lattice, generator_pairs):
     """Smallest transfer system containing the generators.
 
-    Fixed-point iteration over reflexivity, transitivity and restriction
-    (K -> H and L <= H force K ^ L -> L); conjugation is trivial for the
-    abelian ambients this lattice type represents.
+    Conjugation is trivial for the abelian ambients this lattice type
+    represents, so two passes suffice.  First each generator k -> h gives
+    k ^ l -> l for every l <= h; with the identities these arrows are closed
+    under restriction (k ^ l -> l restricts to k ^ l' -> l' for l' <= l).
+    Then one ascending pass over the targets closes under transitivity:
+    subgroups are sorted by order, so every source is closed before its
+    target.  The transitive closure of a restriction-closed relation is
+    restriction-closed: restrict a chain j -> k -> h to l <= h link by link,
+    j ^ l -> k ^ l -> l.  So this is the closure; validate still checks it.
     """
     P = lattice.poset
-    n = P.n
-    into = [1 << h for h in range(n)]
+    down = P.down
+    into = [1 << h for h in range(P.n)]
     for (k, h) in generator_pairs:
         if not P.leq(k, h):
             raise TransferError(
                 f"generator {lattice.label(k)} -> {lattice.label(h)} violates containment"
             )
-        into[h] |= 1 << k
-    meets = meets if meets is not None else _meet_table(lattice)
-    down_lists = [mask_indices(row) for row in P.down]
-    changed = True
-    while changed:
-        changed = False
-        # transitivity: k -> h and j -> k give j -> h
-        for h in range(n):
-            row = into[h]
-            acc = row
-            m = row
-            while m:
-                k = (m & -m).bit_length() - 1
-                m &= m - 1
-                acc |= into[k]
-            if acc != row:
-                into[h] = acc
-                changed = True
-        # restriction
-        for h in range(n):
-            row = into[h] & ~(1 << h)
-            if not row:
-                continue
-            ks = mask_indices(row)
-            for l in down_lists[h]:
-                if l == h:
-                    continue
-                add = 0
-                ml = meets[l]
-                for k in ks:
-                    add |= 1 << ml[k]
-                if add & ~into[l]:
-                    into[l] |= add
-                    changed = True
-    system = TransferSystem(lattice, into, meets)
+        for l in mask_indices(down[h]):
+            into[l] |= 1 << _meet(down, k, l)
+    for h, row in enumerate(into):
+        for k in mask_indices(row):
+            into[h] |= into[k]
+    system = TransferSystem(lattice, into)
     report = validate(system)
     if report is not None:
         raise TransferError(f"closure produced an invalid system: {report}")
@@ -215,7 +181,6 @@ def validate(T):
                     (j, k, h),
                     f"{lab(j)} -> {lab(k)} -> {lab(h)} but no {lab(j)} -> {lab(h)}",
                 )
-    meets = T.meets()
     for h in range(n):
         ks = [k for k in mask_indices(T.into[h]) if k != h]
         if not ks:
@@ -224,7 +189,7 @@ def validate(T):
             if l == h:
                 continue
             for k in ks:
-                kl = meets[k][l]
+                kl = _meet(down, k, l)
                 if not (T.into[l] >> kl) & 1:
                     return Violation(
                         "restriction",
@@ -235,16 +200,18 @@ def validate(T):
     return None
 
 
-def system_of_family(lattice, family, meets):
+def system_of_family(lattice, family):
     """The disk-like system whose arrows into G are the family S (a mask).
 
     S must contain G and be closed under meets; then into[h] = {s ^ h : s in
     S} is reflexive (G ^ h = h), restriction-closed and transitive
-    ((s' ^ s ^ h) with s' ^ s in S), so it is the closure of S -> G.
+    ((s' ^ s ^ h) with s' ^ s in S), so it is the closure of S -> G.  Each
+    meet is read off the down masks.
     """
+    down = lattice.poset.down
     members = mask_indices(family)
-    into = [_mask(meets[h][s] for s in members) for h in range(lattice.n)]
-    return TransferSystem(lattice, into, meets)
+    into = [_mask(_meet(down, h, s) for s in members) for h in range(lattice.n)]
+    return TransferSystem(lattice, into)
 
 
 def require_disk_like(T):
@@ -257,7 +224,7 @@ def require_disk_like(T):
         T.validated = True
     lat = T.lattice
     # into[top] of a valid system is meet-closed and holds top
-    generated = system_of_family(lat, T.into[lat.top_index()], T.meets())
+    generated = system_of_family(lat, T.into[lat.top_index()])
     for h in range(lat.n):
         extra = T.into[h] & ~generated.into[h]
         if extra:
@@ -339,7 +306,7 @@ def class_poset(partition, rep):
 _ENUMERATION_LIMIT = 16
 
 
-def _meet_images(meets):
+def _meet_images(down):
     """Lookup lists for the meet images {h ^ s : s in S} of family masks S.
 
     A mask is split into its low `width` bits and the rest.  For each h,
@@ -348,17 +315,18 @@ def _meet_images(meets):
     Each list is filled by adding one member to an entry already filled;
     under the 16-subgroup limit a half is at most a byte.
     """
-    n = len(meets)
+    n = len(down)
     width = (n + 1) // 2
 
-    def lookup(row, base, bits):
+    def lookup(h, base, bits):
+        image = [1 << _meet(down, h, base + i) for i in range(bits)]
         out = [0] * (1 << bits)
         for m in range(1, 1 << bits):
             low = m & -m
-            out[m] = out[m ^ low] | 1 << row[base + low.bit_length() - 1]
+            out[m] = out[m ^ low] | image[low.bit_length() - 1]
         return out
 
-    return width, [(lookup(row, 0, width), lookup(row, width, n - width)) for row in meets]
+    return width, [(lookup(h, 0, width), lookup(h, width, n - width)) for h in range(n)]
 
 
 def enumerate_disk_like(lattice):
@@ -378,8 +346,7 @@ def enumerate_disk_like(lattice):
         raise BudgetExceededError(
             f"disk-like enumeration budget exceeded: {n} > {_ENUMERATION_LIMIT} subgroups"
         )
-    meets = _meet_table(lattice)
-    width, images = _meet_images(meets)
+    width, images = _meet_images(lattice.poset.down)
     low = (1 << width) - 1
     top = lattice.top_index()
     seen = {1 << top}
@@ -398,7 +365,7 @@ def enumerate_disk_like(lattice):
         return tuple([lo[a] | hi[b] for lo, hi in images])
 
     rows = sorted(into(family) for family in seen)
-    systems = [TransferSystem(lattice, row, meets) for row in rows]
+    systems = [TransferSystem(lattice, row) for row in rows]
     families = [row[top] for row in rows]
     index = {f: a for a, f in enumerate(families)}
     full = (1 << n) - 1

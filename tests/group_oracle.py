@@ -176,8 +176,8 @@ def enumerate_subgroups(G, max_order=100000, max_count=None):
     """All subgroups of G as HNF bases, in lattice order: sorted by (order,
     row-major basis), as groups.subgroup_lattice indexes them."""
     parts = groups._primary_parts(G, max_order, max_count)
-    return [_subgroup_of_blocks(G, parts, order, comps)
-            for order, comps in groups._lattice_order(parts)]
+    lattice = groups.SubgroupLattice(G, parts)
+    return [_subgroup_of_blocks(G, parts, order, comps) for order, comps in lattice._keyed]
 
 
 def frattini_indices(lattice):

@@ -65,6 +65,11 @@ def _function(module, name):
                 if isinstance(node, ast.FunctionDef) and node.name == name)
 
 
+def test_close_validates_its_result():
+    # the two-pass closure keeps its postcondition: every closure is validated
+    assert "validate" in _calls(_function("transfer", "close"))
+
+
 def test_monotonicity_scan_reads_the_closed_form():
     # scan_monotonicity takes each gldim from the family (gldim_of_family)
     banned = {"gldim_mackey", "class_dim", "validate", "inseparability_classes"}
