@@ -9,9 +9,13 @@ gldim routes, the CLI exits 4) rather than being resolved silently.
 A disk-like system is read off its family S (its arrows into G): the
 inseparability classes are the fibres of c_S(j), the least member of S
 above j, so gldim(O_S) = max_j r(c_S(j)/j) with r the prime-power factor
-count (gldim_of_family).  `scan monotonicity` uses that closed form alone.
-gldim_mackey reads its rows off the same fibres; `gldim-mackey` compares it
-with gldim_mackey_via_ext, whose classes come from the containment
+count.  `scan monotonicity` uses that closed form alone, for every system of
+a lattice at once (family_gldims): r(c_S(j)/j) is the least r(s/j) over the
+members s >= j of S, so gldim(O_S) >= d exactly when S misses one of the
+per-degree miss masks {s >= j : r(s/j) < d}, built once per lattice.  The
+per-system route through c_S is the reference in tests/mackey_oracle.py.
+gldim_mackey reads its rows off the fibres of c_S; `gldim-mackey` compares
+it with gldim_mackey_via_ext, whose classes come from the containment
 fingerprints of transfer.inseparability_classes.  class_dim, with both of
 its formulations, is the reference the tests compare the closed form with.
 """
@@ -22,12 +26,13 @@ import json
 
 from . import groups, izext, transfer
 from .izext import DiscrepancyError
+from .posets import mask_indices, union_lookup
 
 __all__ = [
     "ClassRow",
     "MackeyDimReport",
     "class_dim",
-    "gldim_of_family",
+    "family_gldims",
     "gldim_mackey",
     "gldim_mackey_via_ext",
     "scan_monotonicity",
@@ -137,22 +142,54 @@ def _factor_count(lattice, h, k):
     return sum(len(part) for _p, part in lattice.section_type(h, k))
 
 
-def gldim_of_family(lattice, family, counts):
-    """gldim of the disk-like system with family S, in closed form:
-    max over subgroups j of r(c_S(j)/j).
+def family_gldims(lattice, families):
+    """gldim of the disk-like system of each family S, off one table of
+    per-degree miss masks for the whole lattice.
 
-    r only falls on passing to a quotient, so this is the max over each
-    class of r(top/minimal member), as in class_dim.  `counts` is a dict
-    that memoizes r per pair (j, c_S(j)) across calls on one lattice.
+    For a subgroup j and a degree d >= 1 let B_{j,d} = {s >= j : r(s/j) < d}.
+    c_S(j) lies below every member of S above j, and r(./j) cannot rise on
+    passing to a subgroup (each p-rank is dim Omega_1), so r(c_S(j)/j) is
+    the minimum of r(s/j) over the members s >= j of S.  Hence
+    gldim(S) = max_j r(c_S(j)/j) >= d exactly when S misses B_{j,d} for some
+    j, and gldim(S) is the largest d for which S misses some mask, else 0.
+
+    Each r(s/j) is read once, off section_type.  S holds G, so a mask that
+    holds G is never missed and is not kept; nor is a mask that contains a
+    kept mask of the same or a higher degree, since S cannot miss it without
+    missing that one.  Each family is then read with two list lookups, one
+    per half of its mask, as transfer reads meet images (each list has
+    2^ceil(n/2) entries): the kept masks its members hit, and so the
+    highest-degree kept mask it misses.
     """
-    best = 0
-    for j, c in enumerate(_class_tops(lattice, family)):
-        if c != j:
-            r = counts.get((j, c))
-            if r is None:
-                r = counts[(j, c)] = _factor_count(lattice, c, j)
-            best = max(best, r)
-    return best
+    n = lattice.n
+    top = lattice.top_index()
+    by_degree = {}
+    for j, row in enumerate(lattice.poset.up):
+        layers = [0] * n  # layers[r]: the s >= j with r(s/j) = r
+        for s in mask_indices(row):
+            layers[_factor_count(lattice, s, j)] |= 1 << s
+        mask = 0
+        for d, layer in enumerate(layers, 1):
+            mask |= layer
+            if mask >> top & 1:
+                break
+            by_degree.setdefault(d, set()).add(mask)
+    kept = []  # (d, B), d descending
+    for d in sorted(by_degree, reverse=True):
+        for mask in sorted(by_degree[d], key=int.bit_count):
+            if all(b & ~mask for _d, b in kept):
+                kept.append((d, mask))
+    # bit k of a lookup entry stands for kept[k], now in ascending degree,
+    # after the empty mask of degree 0, which every S misses
+    kept = [(0, 0)] + kept[::-1]
+    degrees = [d for d, _b in kept]
+    hits = [sum(1 << k for k, (_d, b) in enumerate(kept) if b >> s & 1) for s in range(n)]
+    width = (n + 1) // 2
+    lo, hi = union_lookup(hits[:width]), union_lookup(hits[width:])
+    low = (1 << width) - 1
+    full = (1 << len(kept)) - 1
+    return [degrees[(full ^ (lo[f & low] | hi[f >> width])).bit_length() - 1]
+            for f in families]
 
 
 def gldim_mackey(G, T):
@@ -208,24 +245,28 @@ def scan_monotonicity(G):
     """Check gldim(O2) <= gldim(O1) for every inclusion O1 <= O2 of disk-like
     systems; reports the annotated inclusion poset and any violations.
 
-    Each gldim is read off the system's family by gldim_of_family, with one
-    table of quotient factor counts for the whole lattice.
+    Every gldim is read off the system's family by family_gldims, with one
+    table of miss masks for the whole lattice.
     """
     lattice = groups.subgroup_lattice(G)
     systems, poset = transfer.enumerate_disk_like(lattice)
     top = lattice.top_index()
-    counts = {}
-    dims = [gldim_of_family(lattice, T.into[top], counts) for T in systems]
+    dims = family_gldims(lattice, [T.into[top] for T in systems])
 
     def arrows(T):
         return [f"{lattice.label(k)}->{lattice.label(h)}" for k, h in T.nontrivial_arrows()]
 
-    # per gldim value d, the mask of systems whose gldim exceeds d
-    larger = {d: sum(1 << b for b, e in enumerate(dims) if e > d) for d in set(dims)}
+    # larger[d]: the mask of the systems whose gldim exceeds d
+    by_dim = [0] * (max(dims) + 1)
+    for b, d in enumerate(dims):
+        by_dim[d] |= 1 << b
+    larger = [0] * len(by_dim)
+    for d in range(len(by_dim) - 2, -1, -1):
+        larger[d] = larger[d + 1] | by_dim[d + 1]
     violations = []
-    pairs = 0
-    for a in range(len(systems)):
-        above = poset.up[a] & ~(1 << a)
+    pairs = -len(systems)
+    for a, above in enumerate(poset.up):
+        # above holds a itself, which is not in larger[dims[a]]
         pairs += above.bit_count()
         bad = above & larger[dims[a]]
         if bad:

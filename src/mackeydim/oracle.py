@@ -49,14 +49,14 @@ class _Resolution:
     vanishes and span N maps injectively.
     """
 
-    def __init__(self, P, x, max_len):
+    def __init__(self, P, x, max_len, above):
         self.P = P
         self.x = x
         self.max_len = max_len
         down_mask = P.down[x]
         self.down = posets.mask_indices(down_mask)
-        # the covers of w inside the down-set of x are its covers in P
-        above = _upper_covers(P)
+        # the covers of w inside the down-set of x are its covers in P, the
+        # bits of above[w] (P.upper_covers(), built once per poset)
         self.covers = {w: posets.mask_indices(above[w] & down_mask) for w in self.down}
         # every cover of z has a larger down-set, so it comes before z
         self.top_down = sorted(self.down, key=lambda z: -P.down[z].bit_count())
@@ -198,7 +198,7 @@ def minimal_resolution(P, x, max_len=None):
         max_len = P.height() + 2
     if max_len < P.height() + 1:
         raise OracleError("max_len below the height bound cannot certify termination")
-    return _Resolution(P, x, max_len).run()
+    return _Resolution(P, x, max_len, P.upper_covers()).run()
 
 
 def gldim_oracle(P, max_len=None):
@@ -209,18 +209,10 @@ def gldim_oracle(P, max_len=None):
     return max(n for _x, _y, n in ext_table_oracle(P, max_len))
 
 
-def _upper_covers(P):
-    """For each element, the mask of the elements covering it."""
-    above = [0] * P.n
-    for lo, hi in P.covers():
-        above[lo] |= 1 << hi
-    return above
-
-
 def _relabelled_order(P, above, x):
     """down(x) in ascending index order, and the order on it relabelled to
     positions in that list, as the positions of each element's covers
-    (`above` is `_upper_covers(P)`).  The covers of an element of down(x)
+    (`above` is `P.upper_covers()`).  The covers of an element of down(x)
     inside it are its covers in P, and they determine the order.  The
     resolution of S_x reads nothing else of P."""
     mask = P.down[x]
@@ -234,9 +226,10 @@ def ext_table_oracle(P, max_len=None):
     """All nonzero dim Ext^n(S_x, S_y) as {(x, y, n): dim}, by resolutions.
 
     Simples whose down-sets carry the same relabelled order share one
-    resolution within the call.
+    resolution within the call, and every resolution reads the upper covers
+    that the poset builds once.
     """
-    above = _upper_covers(P)
+    above = P.upper_covers()
     resolved = {}  # relabelled order on down(x) -> multiplicities by position
     entries = {}
     for x in range(P.n):

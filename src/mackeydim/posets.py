@@ -20,6 +20,7 @@ __all__ = [
     "product",
     "dismantle_mask",
     "mask_indices",
+    "union_lookup",
     "transpose",
     "parse_poset_text",
     "poset_to_text",
@@ -40,7 +41,7 @@ class FinitePoset:
     so a poset that is only walked upwards never builds them.
     """
 
-    __slots__ = ("n", "labels", "up", "_down", "_covers", "_height")
+    __slots__ = ("n", "labels", "up", "_down", "_covers", "_upper_covers", "_height")
 
     def __init__(self, n, labels, up, validate=True, down=None):
         self.n = n
@@ -50,6 +51,7 @@ class FinitePoset:
             raise PosetError("label/relation size mismatch")
         self._down = None if down is None else tuple(down)
         self._covers = None
+        self._upper_covers = None
         self._height = None
         if validate:
             self._validate()
@@ -134,6 +136,16 @@ class FinitePoset:
                         out.append((i, j))
             self._covers = sorted(out)
         return self._covers
+
+    def upper_covers(self):
+        """For each element, the mask of the elements covering it; built
+        once, off covers()."""
+        if self._upper_covers is None:
+            above = [0] * self.n
+            for lo, hi in self.covers():
+                above[lo] |= 1 << hi
+            self._upper_covers = tuple(above)
+        return self._upper_covers
 
     def height(self):
         """Length in edges of the longest strict chain; 0 if discrete/empty."""
@@ -241,6 +253,16 @@ def mask_indices(mask):
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
+    return out
+
+
+def union_lookup(masks):
+    """out[m]: the union of masks[i] over the set bits i of m, for every m
+    below 2^len(masks).  Each entry adds one mask to an entry already filled."""
+    out = [0] * (1 << len(masks))
+    for m in range(1, len(out)):
+        low = m & -m
+        out[m] = out[m ^ low] | masks[low.bit_length() - 1]
     return out
 
 

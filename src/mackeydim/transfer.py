@@ -12,13 +12,15 @@ form: into[h] = {s ^ h : s in S} (system_of_family).  The enumeration walks
 these families; `close` serves generator files, which may name any arrow.
 The walk and the enumerated systems read each meet image {h ^ s : s in S}
 off one table per lattice (_meet_images): two list lookups, one per half
-of the mask S, in place of a loop over the members of S.
+of the mask S, in place of a loop over the members of S.  The inclusion
+order of the enumerated systems is read the same way, off the mask of the
+systems whose family lacks h, for each subgroup h.
 """
 
 from __future__ import annotations
 
 from .groups import BudgetExceededError, GroupError
-from .posets import FinitePoset, mask_indices
+from .posets import FinitePoset, mask_indices, union_lookup
 
 __all__ = [
     "TransferError",
@@ -312,21 +314,16 @@ def _meet_images(down):
     A mask is split into its low `width` bits and the rest.  For each h,
     lo[m] and hi[m] are the images of the members in the low and the high
     half, so the image of S is lo[S & (2^width - 1)] | hi[S >> width].
-    Each list is filled by adding one member to an entry already filled;
-    under the 16-subgroup limit a half is at most a byte.
+    Under the 16-subgroup limit a half is at most a byte.
     """
     n = len(down)
     width = (n + 1) // 2
 
-    def lookup(h, base, bits):
-        image = [1 << _meet(down, h, base + i) for i in range(bits)]
-        out = [0] * (1 << bits)
-        for m in range(1, 1 << bits):
-            low = m & -m
-            out[m] = out[m ^ low] | image[low.bit_length() - 1]
-        return out
+    def halves(h):
+        image = [1 << _meet(down, h, s) for s in range(n)]
+        return union_lookup(image[:width]), union_lookup(image[width:])
 
-    return width, [(lookup(h, 0, width), lookup(h, width, n - width)) for h in range(n)]
+    return width, [halves(h) for h in range(n)]
 
 
 def enumerate_disk_like(lattice):
@@ -336,10 +333,12 @@ def enumerate_disk_like(lattice):
     Walks the meet-closed families S containing G from {G}: adding s to a
     meet-closed S and closing under meets gives S | {s ^ f : f in S}.
     Each meet image, in the walk and in every system's into[h] = {h ^ s : s
-    in S} (as system_of_family builds it), is read off _meet_images.
-    Inclusion of disk-like systems is inclusion of their families.  If
-    S < S', then S | {x} is meet-closed for x minimal in S' - S, so the
-    up-set of S is S plus the up-sets of its one-element extensions.
+    in S} (as system_of_family builds it), is read off _meet_images; each
+    row is built once and is its system's sort key.  Inclusion of disk-like
+    systems is inclusion of their families, so the up-set of S is the set
+    of systems whose family lacks no member of S: the complement of the
+    union, over the members h of S, of the systems lacking h, read with two
+    list lookups per family as the meet images are.
     """
     n = lattice.n
     if n > _ENUMERATION_LIMIT:
@@ -359,28 +358,19 @@ def enumerate_disk_like(lattice):
             if grown not in seen:
                 seen.add(grown)
                 todo.append(grown)
-
-    def into(family):
-        a, b = family & low, family >> width
-        return tuple([lo[a] | hi[b] for lo, hi in images])
-
-    rows = sorted(into(family) for family in seen)
+    rows = sorted(tuple([lo[f & low] | hi[f >> width] for lo, hi in images]) for f in seen)
     systems = [TransferSystem(lattice, row) for row in rows]
     families = [row[top] for row in rows]
-    index = {f: a for a, f in enumerate(families)}
-    full = (1 << n) - 1
-    up = [0] * len(families)
-    # largest families first, so every one-element extension is done
-    for a in sorted(range(len(families)), key=lambda a: -families[a].bit_count()):
-        row = 1 << a
-        rest = ~families[a] & full
-        while rest:
-            x = rest & -rest
-            rest ^= x
-            b = index.get(families[a] | x)
-            if b is not None:
-                row |= up[b]
-        up[a] = row
+    # lacks[h]: the mask of the systems whose family lacks h.  Write the
+    # complements of the families as n-digit binary numerals, from the last
+    # system to the first: digit n - 1 - h of each is bit h, so every n-th
+    # digit from there, read as one numeral, is lacks[h]
+    every = (1 << n) - 1
+    digits = "".join([format(f ^ every, f"0{n}b") for f in reversed(families)])
+    lacks = [int(digits[n - 1 - h::n], 2) for h in range(n)]
+    lacks_lo, lacks_hi = union_lookup(lacks[:width]), union_lookup(lacks[width:])
+    full = (1 << len(families)) - 1
+    up = [full ^ (lacks_lo[f & low] | lacks_hi[f >> width]) for f in families]
     labels = [f"O{i}" for i in range(len(systems))]
     return systems, FinitePoset(len(systems), labels, up, validate=False)
 

@@ -5,9 +5,9 @@ import pytest
 from mackeydim import groups, izext, mackey, transfer
 from mackeydim.mackey import (
     class_dim,
+    family_gldims,
     gldim_mackey,
     gldim_mackey_via_ext,
-    gldim_of_family,
     scan_conjectures,
     scan_frattini,
     scan_monotonicity,
@@ -26,6 +26,7 @@ from group_oracle import (
     frattini_indices,
     quotient_invariants,
 )
+from mackey_oracle import gldim_of_family
 from section_oracle import literal_pair_scan
 
 
@@ -206,7 +207,8 @@ class TestScans:
     def test_monotonicity_reports_every_violation(self, lattice_cache, monkeypatch):
         # a gldim that grows with the family makes every inclusion a violation
         monkeypatch.setattr(
-            mackey, "gldim_of_family", lambda lattice, family, counts: family.bit_count()
+            mackey, "family_gldims",
+            lambda lattice, families: [family.bit_count() for family in families],
         )
         lat = lattice_cache("C2xC4")
         report = scan_monotonicity(lat.group)
@@ -284,14 +286,15 @@ class TestScans:
 
 class TestClosedForm:
     def test_matches_class_route_on_small_lattices(self, small_lattices):
-        # every disk-like system of the acceptance-05 corpus
+        # every disk-like system of the acceptance-05 corpus, by the miss
+        # masks, the per-system c_S reference and the class route
         checked = 0
         for lat in small_lattices:
             top = lat.top_index()
             counts = {}
             systems, _ = enumerate_disk_like(lat)
-            for T in systems:
-                family = T.into[top]
+            families = [T.into[top] for T in systems]
+            for T, family, fast in zip(systems, families, family_gldims(lat, families)):
                 part = inseparability_classes(T)
                 tops = mackey._class_tops(lat, family)
                 fibres = {}
@@ -301,10 +304,26 @@ class TestClosedForm:
                 assert [fibres[r] for r in sorted(fibres)] == part.classes
                 rows, height = class_route(T)
                 gldim = max(dim for *_rest, dim in rows)
-                assert gldim_of_family(lat, family, counts) == gldim <= height
+                assert fast == gldim_of_family(lat, family, counts) == gldim <= height
                 assert gldim_of_family(lat, family, {}) == gldim
                 checked += 1
         assert checked == 9009
+
+    @pytest.mark.parametrize(
+        "spec,count",
+        [("C4xC4", 2036), ("C2xC2xC2", 3616), ("C2xC4xC3", 3084), ("C2xC5xC5", 5625)],
+    )
+    def test_miss_masks_match_reference_on_16_subgroups(self, lattice_cache, spec, count):
+        # 14,361 systems in all; the families in reverse order too, since the
+        # evaluator reads each family on its own
+        lat = lattice_cache(spec)
+        systems, _ = enumerate_disk_like(lat)
+        families = [T.into[lat.top_index()] for T in systems]
+        counts = {}
+        want = [gldim_of_family(lat, family, counts) for family in families]
+        assert len(want) == count
+        assert family_gldims(lat, families) == want
+        assert family_gldims(lat, families[::-1]) == want[::-1]
 
     @pytest.mark.parametrize(
         "spec", ["C4xC12", "C2xC2xC4", "C2xC2xC2xC3", "C16xC16"]

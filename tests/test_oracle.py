@@ -225,7 +225,7 @@ class TestOneResolutionPerDownSet:
 
     def test_equal_sizes_different_orders(self, monkeypatch):
         P = self.chain_and_diamond()
-        above = oracle._upper_covers(P)
+        above = P.upper_covers()
         (chain, chain_key), (diamond, diamond_key) = (
             oracle._relabelled_order(P, above, 3), oracle._relabelled_order(P, above, 6))
         assert (chain, diamond) == ([0, 1, 2, 3], [0, 4, 5, 6])
@@ -240,6 +240,21 @@ class TestOneResolutionPerDownSet:
         assert {k: d for k, d in table.items() if k[0] == 6} == {
             (6, 6, 0): 1, (6, 4, 1): 1, (6, 5, 1): 1, (6, 0, 2): 1}
         assert table == izext.ext_table(P)
+
+    def test_resolutions_share_the_cover_masks(self, monkeypatch):
+        # the upper covers are built once per poset, not once per resolution
+        P = self.chain_and_diamond()
+        seen = []
+        original = oracle._Resolution.__init__
+
+        def recording(res, P, x, max_len, above):
+            seen.append(above)
+            original(res, P, x, max_len, above)
+
+        monkeypatch.setattr(oracle._Resolution, "__init__", recording)
+        ext_table_oracle(P)
+        assert len(seen) == 5
+        assert all(above is P.upper_covers() for above in seen)
 
     def test_c3_to_the_4_runs_five_resolutions(self, lattice_cache, monkeypatch):
         P = raw_subgroup_poset(lattice_cache, "C3xC3xC3xC3")

@@ -127,6 +127,15 @@ class TestConstruction:
             assert P.down == transpose(P.up)
             assert P._down is P.down
 
+    def test_upper_covers_are_the_covers_as_masks(self, rng):
+        assert diamond().upper_covers() == (0b0110, 0b1000, 0b1000, 0)
+        for n in [0, 1, 2, 5, 9, 14, 20]:
+            P = random_poset(n, rng)
+            above = P.upper_covers()
+            assert [(lo, hi) for lo in range(n) for hi in range(n)
+                    if above[lo] >> hi & 1] == P.covers()
+            assert P.upper_covers() is above
+
 
 class TestInterval:
     def test_diamond_middle(self):

@@ -71,10 +71,30 @@ def test_close_validates_its_result():
 
 
 def test_monotonicity_scan_reads_the_closed_form():
-    # scan_monotonicity takes each gldim from the family (gldim_of_family)
+    # scan_monotonicity takes each gldim from the family (family_gldims)
     banned = {"gldim_mackey", "class_dim", "validate", "inseparability_classes"}
     found = _calls(_function("mackey", "scan_monotonicity")) & banned
     assert not found, found
+
+
+def _call_names(node):
+    """Names of the functions and methods called inside node, one per call."""
+    return [getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            for call in ast.walk(node) if isinstance(call, ast.Call)]
+
+
+def test_monotonicity_scan_reads_gldims_per_lattice():
+    # one enumeration and one gldim table per lattice: no c_S or section
+    # type is read per system, in the scan or in the evaluator's last step,
+    # the comprehension over the families
+    names = _call_names(_function("mackey", "scan_monotonicity"))
+    assert names.count("enumerate_disk_like") == 1
+    assert names.count("family_gldims") == 1
+    found = set(names) & {"_class_tops", "section_type", "_factor_count"}
+    assert not found, found
+    last = _function("mackey", "family_gldims").body[-1]
+    assert isinstance(last, ast.Return) and isinstance(last.value, ast.ListComp)
+    assert set(_call_names(last)) == {"bit_length"}
 
 
 def test_izext_builds_no_lattice():

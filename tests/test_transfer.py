@@ -395,12 +395,23 @@ class TestEnumerate:
         assert [T.into for T in systems] == [T.into for T in expected]
         assert poset.labels == expected_poset.labels
         assert poset.up == expected_poset.up
-        # the cover-built up-sets equal the subset test on the families
+        # the up-sets equal the subset test on the families
         families = [T.into[lat.top_index()] for T in systems]
         assert list(poset.up) == [
             sum(1 << b for b, fb in enumerate(families) if fa & ~fb == 0)
             for fa in families
         ]
+
+    def test_up_sets_are_family_inclusion(self, small_lattices):
+        # on every lattice of the acceptance-05 corpus, system b is above
+        # system a exactly when b's family holds every member of a's
+        for lat in small_lattices:
+            systems, poset = enumerate_disk_like(lat)
+            families = [T.into[lat.top_index()] for T in systems]
+            assert list(poset.up) == [
+                sum(1 << b for b, fb in enumerate(families) if fa & ~fb == 0)
+                for fa in families
+            ]
 
     @pytest.mark.parametrize(
         "spec,count",
